@@ -45,13 +45,11 @@ type shuffleBenchRun struct {
 	// 1.0 for the serial baseline itself.
 	ReduceSpeedup float64 `json:"reduce_speedup_vs_serial"`
 	// BatchFetches/BatchSegments count copier batch operations and the
-	// segments they carried (ratio = batching factor); WireSavedB is the
-	// raw-minus-wire byte saving from compressing segments for the fabric;
-	// GovThrottles counts batches the governor parked first.
-	BatchFetches  int   `json:"batch_fetches,omitempty"`
-	BatchSegments int   `json:"batch_segments,omitempty"`
-	WireSavedB    int64 `json:"wire_saved_bytes,omitempty"`
-	GovThrottles  int   `json:"governor_throttles,omitempty"`
+	// segments they carried (ratio = batching factor); GovThrottles counts
+	// batches the governor parked first.
+	BatchFetches  int `json:"batch_fetches,omitempty"`
+	BatchSegments int `json:"batch_segments,omitempty"`
+	GovThrottles  int `json:"governor_throttles,omitempty"`
 	// CopierStealMS and GovWaitMS are aggregate activity (all task spans,
 	// not just the critical path): map-task time covered by copier
 	// activity against the task's node, and copier time deliberately
@@ -288,7 +286,6 @@ func benchRun(bc shuffleBenchCfg, res *mrtext.Result, report *mrtext.TraceReport
 		FetchRetries:  res.ShuffleFetchRetries,
 		BatchFetches:  res.ShuffleBatchFetches,
 		BatchSegments: res.ShuffleBatchSegments,
-		WireSavedB:    res.ShuffleWireSavedBytes,
 		GovThrottles:  res.ShuffleGovThrottles,
 		CopierStealMS: float64(report.Activity[critpath.CauseCopierSteal].Microseconds()) / 1e3,
 		GovWaitMS:     float64(report.Activity[critpath.CauseGovernorWait].Microseconds()) / 1e3,
@@ -325,8 +322,8 @@ func printRuns(label string, runs []shuffleBenchRun) {
 			r.Config, r.WallMS, r.MapWallMS, r.ReduceWallMS, r.ReduceSpeedup,
 			r.EarlySegments, r.StagedSpills, r.StagingPeakB, r.CopierStealMS, r.StealPerEarlySeg)
 		if r.Copiers > 0 {
-			fmt.Printf("           %d segments in %d batches, %d B wire savings, %d governor throttles (%.1f ms parked)\n",
-				r.BatchSegments, r.BatchFetches, r.WireSavedB, r.GovThrottles, r.GovWaitMS)
+			fmt.Printf("           %d segments in %d batches, %d governor throttles (%.1f ms parked)\n",
+				r.BatchSegments, r.BatchFetches, r.GovThrottles, r.GovWaitMS)
 		}
 		if r.MapInflation != nil {
 			fmt.Printf("           map inflation %+.1f ms, residual %.1f ms (%.0f%% unattributed)\n",

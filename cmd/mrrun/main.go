@@ -45,11 +45,6 @@ func main() {
 		speculate = flag.Bool("speculation", false, "launch speculative backup attempts for straggler tasks")
 		copiers   = flag.Int("shuffle-copiers", 4, "concurrent shuffle copiers per reduce partition (0 = serial shuffle at reduce start)")
 		shufBuf   = flag.Int64("shuffle-buffer", 32, "staging buffer budget per job in MiB; staged segments over budget spill to disk")
-		batchB    = flag.Int64("shuffle-batch-bytes", 1<<20, "copier batch cap in bytes: a copier drains a source node's queued segments in one fabric transfer up to this size")
-		shufComp  = flag.Bool("shuffle-compress", true, "compress shuffle segments on the wire (prefix-compressed run format, staged compressed until reduce merge)")
-		governor  = flag.Bool("shuffle-governor", true, "throttle copiers while the map phase is fabric-hot, ramping up as maps drain")
-		serialIn  = flag.Bool("serial-ingest", false, "read splits with the bufio line scanner instead of the block-batched fast path")
-		ingChunk  = flag.Int64("ingest-chunk-kb", 0, "batched split reader arena chunk in KiB (0 = default 1024)")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -88,24 +83,19 @@ func main() {
 	// submission, so flags and the HTTP API share one source of truth for
 	// validation, dataset generation, and knob application.
 	spec := mrserve.Spec{
-		App:               app,
-		InputMB:           *megabytes,
-		Reducers:          *reducers,
-		SpillBufferKB:     *bufKB,
-		FreqBuf:           *freq,
-		SpillMatcher:      *spill,
-		Speculation:       *speculate,
-		PosIterations:     *posIter,
-		SynTextCPU:        *cpu,
-		SynTextStorage:    *storage,
-		ShuffleCopiers:    *copiers,
-		SerialShuffle:     *copiers <= 0,
-		ShuffleBufferMB:   *shufBuf,
-		ShuffleBatchBytes: *batchB,
-		ShuffleRawWire:    !*shufComp,
-		ShuffleUngoverned: !*governor,
-		SerialIngest:      *serialIn,
-		IngestChunkKB:     *ingChunk,
+		App:             app,
+		InputMB:         *megabytes,
+		Reducers:        *reducers,
+		SpillBufferKB:   *bufKB,
+		FreqBuf:         *freq,
+		SpillMatcher:    *spill,
+		Speculation:     *speculate,
+		PosIterations:   *posIter,
+		SynTextCPU:      *cpu,
+		SynTextStorage:  *storage,
+		ShuffleCopiers:  *copiers,
+		SerialShuffle:   *copiers <= 0,
+		ShuffleBufferMB: *shufBuf,
 	}
 	spec.Normalize()
 	if err := spec.Validate(); err != nil {
@@ -137,8 +127,8 @@ func main() {
 	if !job.SerialShuffle {
 		fmt.Printf("shuffle: %d segments staged early, %d staged spills, staging peak %d B, %d fetch retries\n",
 			res.ShuffleEarlySegments, res.ShuffleStagedSpills, res.ShuffleStagingPeak, res.ShuffleFetchRetries)
-		fmt.Printf("shuffle fetch plane: %d segments in %d batched fetches, %d B saved on the wire, %d governor throttles\n",
-			res.ShuffleBatchSegments, res.ShuffleBatchFetches, res.ShuffleWireSavedBytes, res.ShuffleGovThrottles)
+		fmt.Printf("shuffle fetch plane: %d segments in %d batched fetches, %d governor throttles\n",
+			res.ShuffleBatchSegments, res.ShuffleBatchFetches, res.ShuffleGovThrottles)
 	}
 	if chaosOn || *speculate {
 		fmt.Printf("fault tolerance: %d/%d attempts failed, %d retries, %d speculative (%d won), %d recovered, dead nodes %v\n",

@@ -42,36 +42,6 @@ func ReadSegment(disk vdisk.Disk, idx RunIndex, part int) ([]byte, error) {
 	return buf, nil
 }
 
-// CompressSegment transcodes a plain-format segment (as returned by
-// ReadSegment on an uncompressed run) into the prefix-compressed run
-// format. The result decodes with NewBytesSegmentStream(out, true) to
-// exactly the records of the input. Shuffle copiers use this to ship and
-// stage segments compressed, so fabric and staging memory are charged
-// the wire size rather than the raw size. An empty segment transcodes to
-// an empty (nil) segment.
-func CompressSegment(raw []byte) ([]byte, error) {
-	if len(raw) == 0 {
-		return nil, nil
-	}
-	st := NewBytesSegmentStream(raw, false)
-	defer st.Close()
-	out := make([]byte, 0, len(raw))
-	var prev []byte
-	for {
-		k, v, err := st.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("kvio: compressing segment: %w", err)
-		}
-		out = appendPrefixedKV(out, prev, k, v)
-		// Streams may reuse the key buffer across Next calls; keep a
-		// stable copy for the next frame's shared-prefix computation.
-		prev = append(prev[:0], k...)
-	}
-}
-
 // NewSegmentStream decodes one partition segment from rc in the given
 // on-disk format (compressed selects the prefix-compressed framing).
 // Closing the stream closes rc.

@@ -109,44 +109,3 @@ func TestReadSegmentBounds(t *testing.T) {
 		t.Fatal("out-of-range partition did not error")
 	}
 }
-
-// TestCompressSegmentRoundTrip asserts that transcoding a raw segment to
-// the prefix-compressed wire format preserves every record, shrinks runs
-// of shared-prefix keys, and treats the empty segment as empty output.
-func TestCompressSegmentRoundTrip(t *testing.T) {
-	disk := vdisk.NewMem()
-	rng := rand.New(rand.NewSource(9))
-	idx := writeSegTestRun(t, disk, "run", 5, false, rng)
-	for p := 0; p < 5; p++ {
-		raw, err := ReadSegment(disk, idx, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		enc, err := CompressSegment(raw)
-		if err != nil {
-			t.Fatalf("part %d: compress: %v", p, err)
-		}
-		if len(raw) == 0 {
-			if len(enc) != 0 {
-				t.Fatalf("part %d: empty segment compressed to %d bytes", p, len(enc))
-			}
-			continue
-		}
-		if len(enc) >= len(raw) {
-			t.Fatalf("part %d: wire %d bytes not below raw %d", p, len(enc), len(raw))
-		}
-		want := drain(t, NewBytesSegmentStream(raw, false))
-		got := drain(t, NewBytesSegmentStream(enc, true))
-		if len(got) != len(want) {
-			t.Fatalf("part %d: %d records after round trip, want %d", p, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("part %d record %d: round trip %q, raw %q", p, i, got[i], want[i])
-			}
-		}
-	}
-	if enc, err := CompressSegment(nil); err != nil || len(enc) != 0 {
-		t.Fatalf("CompressSegment(nil) = %d bytes, %v; want empty, nil", len(enc), err)
-	}
-}

@@ -156,18 +156,17 @@ const (
 	// double-counts them.
 	CtrShuffleEarlySegments  = "shuffle.early.segments"     // segments staged before the map phase finished (map/shuffle overlap)
 	CtrShuffleStagedSegments = "shuffle.staged.segments"    // segments staged by the copier pool, in memory or on disk
-	CtrShuffleStagedBytes    = "shuffle.staged.bytes"       // wire bytes fetched into staging (compressed length when wire compression is on)
+	CtrShuffleStagedBytes    = "shuffle.staged.bytes"       // bytes fetched into staging
 	CtrShuffleStagedSpills   = "shuffle.staged.spills"      // staged segments written to the staging node's disk (over budget)
-	CtrShuffleStagingPeak    = "shuffle.staging.peak.bytes" // high-water mark of in-memory staging occupancy (wire bytes)
+	CtrShuffleStagingPeak    = "shuffle.staging.peak.bytes" // high-water mark of in-memory staging occupancy
 	CtrShuffleStagedHits     = "shuffle.staged.hits"        // reduce-attempt fetches served from staging
 	CtrShuffleFetchRetries   = "shuffle.fetch.retries"      // injected shuffle-fetch faults absorbed by per-source retry
 
-	// Batched/compressed fetch-plane counters (PR 10). Like the staging
-	// counters, these are recorded once by the job's shuffle service.
-	CtrShuffleBatchFetches   = "shuffle.batch.fetches"      // copier batch operations: one fabric transfer each, covering one or more segments
-	CtrShuffleBatchSegments  = "shuffle.batch.segments"     // segments carried by those batches (== staged segments; ratio to fetches is the batching factor)
-	CtrShuffleWireSavedBytes = "shuffle.wire.saved.bytes"   // raw-minus-wire bytes saved by compressing segments before the staging hop
-	CtrShuffleGovThrottles   = "shuffle.governor.throttles" // copier batch operations that had to wait for a governor token
+	// Batched fetch-plane counters. Like the staging counters, these are
+	// recorded once by the job's shuffle service.
+	CtrShuffleBatchFetches  = "shuffle.batch.fetches"      // copier batch operations: one fabric transfer each, covering one or more segments
+	CtrShuffleBatchSegments = "shuffle.batch.segments"     // segments carried by those batches (== staged segments; ratio to fetches is the batching factor)
+	CtrShuffleGovThrottles  = "shuffle.governor.throttles" // copier batch operations that had to wait for a governor token
 
 	// Shuffle wait-time counters (nanoseconds). These are the totals behind
 	// the latency histograms: blocked time on the simulated fabric, copier

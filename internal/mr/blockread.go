@@ -11,10 +11,11 @@ import (
 
 // LineReader is what the map loop needs from a split reader: the line
 // iterator plus the consumed-byte count the frequency-buffering profiler
-// extrapolates from. Both the batched blockScanner (default) and the
-// bufio-based lineScanner (Job.SerialIngest) implement it. Exported so the
-// ingest benchmark harness (internal/ingestbench) can drain splits through
-// either reader outside a job.
+// extrapolates from. The batched blockScanner, which map tasks read
+// through, implements it, and so does the bufio-based lineScanner, kept
+// as the boundary oracle in tests and the ingest benchmark's baseline.
+// Exported so the ingest benchmark harness (internal/ingestbench) can
+// drain splits through either reader outside a job.
 type LineReader interface {
 	// Next returns the next line (without its trailing newline) and its
 	// starting file offset; ok=false at end of split. The slice is owned
@@ -37,8 +38,7 @@ func SplitsOf(fs *dfs.DFS, inputs []string) ([]Split, error) {
 }
 
 // OpenSplitSerial opens the split with the bufio-based serial line scanner
-// — the pre-fast-path reader Job.SerialIngest selects, kept as the ingest
-// benchmark baseline.
+// — the pre-fast-path reader, kept as the ingest benchmark baseline.
 func OpenSplitSerial(fs *dfs.DFS, split Split, node int) (LineReader, error) {
 	return openLines(fs, split, node)
 }
@@ -52,19 +52,8 @@ func OpenSplitBatched(fs *dfs.DFS, split Split, node int, chunkBytes int) (LineR
 	return openBlockLines(fs, split, node, chunkBytes)
 }
 
-// openSplit opens the split with the reader the job's ingest knobs select:
-// the block-batched scanner by default, the serial bufio scanner under
-// SerialIngest (the pre-fast-path behavior kept as the comparison
-// baseline, like SerialShuffle on the shuffle side).
-func openSplit(fs *dfs.DFS, split Split, node int, job *Job) (lineSource, error) {
-	if job.SerialIngest {
-		return openLines(fs, split, node)
-	}
-	return openBlockLines(fs, split, node, int(job.IngestChunkBytes))
-}
-
-// defaultIngestChunk is the arena chunk size when Job.IngestChunkBytes is
-// unset: large enough that per-chunk costs (the slide copy, the read call)
+// defaultIngestChunk is the arena chunk size map tasks read splits with:
+// large enough that per-chunk costs (the slide copy, the read call)
 // amortize to noise, small enough to stay cache- and memory-friendly per
 // concurrent map task.
 const defaultIngestChunk = 1 << 20

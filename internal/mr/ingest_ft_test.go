@@ -8,38 +8,31 @@ import (
 	"mrtext/internal/mr"
 )
 
-// TestIngestSerialVsBatchedIdentity is the reader-swap acceptance gate:
-// the same job must produce byte-identical output whether the map phase
-// reads its splits through the serial bufio scanner (SerialIngest) or the
-// block-batched fast path — fault-free, at an adversarially tiny arena
-// chunk, and under an injected-fault cell from the chaos matrix. All runs
-// are compared against the single-process reference implementation, so a
-// reader that drops, duplicates or reorders a boundary line fails against
-// ground truth rather than against its sibling.
+// TestIngestSerialVsBatchedIdentity is the reader acceptance gate: a job
+// whose map phase reads its splits through the block-batched reader must
+// produce byte-identical output to the single-process reference, which
+// reads each input serially from start to end — fault-free and under an
+// injected-fault cell from the chaos matrix. A reader that drops,
+// duplicates or reorders a boundary line fails against ground truth.
+// Adversarial arena chunk sizes are covered reader-to-reader against the
+// bufio lineScanner oracle in blockread_test.go.
 func TestIngestSerialVsBatchedIdentity(t *testing.T) {
 	ref := ftReference(t)
 
 	kill := chaos.Config{Seed: 5, FailRate: 0.05, KillNode: 2, KillAfterOps: 40,
 		DelayRate: 1, Delay: 2 * time.Millisecond}
 	cells := []struct {
-		name   string
-		serial bool
-		chunk  int64
-		cfg    *chaos.Config
+		name string
+		cfg  *chaos.Config
 	}{
-		{"serial-ingest", true, 0, nil},
-		{"batched-default", false, 0, nil},
-		{"batched-chunk-512", false, 512, nil}, // forces mid-line refills and slides
-		{"batched-chaos-kill", false, 0, &kill},
-		{"serial-chaos-kill", true, 0, &kill},
+		{"batched-default", nil},
+		{"batched-chaos-kill", &kill},
 	}
 	for _, cell := range cells {
 		cell := cell
 		t.Run(cell.name, func(t *testing.T) {
 			c, corpus := newFTCluster(t, cell.cfg)
 			job := ftJob(corpus, "wc-ingest-"+cell.name)
-			job.SerialIngest = cell.serial
-			job.IngestChunkBytes = cell.chunk
 			res, err := mr.Run(c, job)
 			if err != nil {
 				t.Fatalf("run: %v", err)
@@ -51,27 +44,20 @@ func TestIngestSerialVsBatchedIdentity(t *testing.T) {
 }
 
 // TestIngestSerialVsBatchedSynText covers the second corpus shape of the
-// chaos matrix: SynText output must not depend on the reader either.
+// chaos matrix: SynText output read through the batched reader must match
+// the serially reading reference too.
 func TestIngestSerialVsBatchedSynText(t *testing.T) {
 	cref, corpus := newFTCluster(t, nil)
 	ref, err := mr.RunReference(cref, ftSynJob(corpus, "syn-ingest-ref"))
 	if err != nil {
 		t.Fatalf("reference: %v", err)
 	}
-	for _, serial := range []bool{true, false} {
-		name := "batched"
-		if serial {
-			name = "serial"
+	t.Run("batched", func(t *testing.T) {
+		c, corpus := newFTCluster(t, nil)
+		res, err := mr.Run(c, ftSynJob(corpus, "syn-ingest-batched"))
+		if err != nil {
+			t.Fatalf("run: %v", err)
 		}
-		t.Run(name, func(t *testing.T) {
-			c, corpus := newFTCluster(t, nil)
-			job := ftSynJob(corpus, "syn-ingest-"+name)
-			job.SerialIngest = serial
-			res, err := mr.Run(c, job)
-			if err != nil {
-				t.Fatalf("run: %v", err)
-			}
-			assertOutputsMatch(t, c, res, ref)
-		})
-	}
+		assertOutputsMatch(t, c, res, ref)
+	})
 }

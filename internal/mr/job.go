@@ -186,29 +186,6 @@ type Job struct {
 	// opens its partition's segment of every map output itself, at reduce
 	// start — the pre-pipelining behavior.
 	SerialShuffle bool
-	// ShuffleBatchBytes caps one copier batch (default 1 MiB): a copier
-	// visiting a source node drains all of that node's ready segments for
-	// its partition in one fabric transfer, up to this many wire bytes.
-	// The first segment is always taken even if it alone exceeds the cap.
-	ShuffleBatchBytes int64
-	// ShuffleRawWire disables wire compression: segments of uncompressed
-	// map outputs ship and stage in their raw on-disk format instead of
-	// being transcoded to the prefix-compressed run format. The zero value
-	// means compression is on, mirroring SerialShuffle/SerialIngest.
-	ShuffleRawWire bool
-	// ShuffleUngoverned disables the contention-aware copier governor, so
-	// copiers fetch as soon as segments commit regardless of fabric heat
-	// or map-phase progress — the pre-governor behavior kept for A/B runs.
-	ShuffleUngoverned bool
-
-	// IngestChunkBytes sizes the batched split reader's arena reads
-	// (default 1 MiB): the granularity at which a map task pulls split
-	// bytes from DFS before scanning lines out of the arena in place.
-	IngestChunkBytes int64
-	// SerialIngest disables the block-batched split reader, reverting to
-	// the bufio per-line scanner — the pre-fast-path behavior kept as the
-	// ingest benchmark baseline (mirroring SerialShuffle).
-	SerialIngest bool
 
 	// Trace records the job's span timeline (see internal/trace). Nil
 	// falls back to the process-wide trace.Default(); when that is nil
@@ -309,12 +286,6 @@ func (j *Job) withDefaults(totalReduceSlots int) (*Job, error) {
 	if cp.ShuffleBufferBytes <= 0 {
 		cp.ShuffleBufferBytes = 32 << 20
 	}
-	if cp.ShuffleBatchBytes <= 0 {
-		cp.ShuffleBatchBytes = 1 << 20
-	}
-	if cp.IngestChunkBytes <= 0 {
-		cp.IngestChunkBytes = defaultIngestChunk
-	}
 	if cp.StaticSpillPercent <= 0 || cp.StaticSpillPercent > 1 {
 		cp.StaticSpillPercent = spillmatch.DefaultStaticPercent
 	}
@@ -379,7 +350,6 @@ type TaskReport struct {
 	Metrics      metrics.Snapshot
 	Spill        spillbuf.Stats
 	FreqStats    freqbuf.Stats
-	SpillPcts    []float64 // spill-matcher decision trace (adaptive runs)
 }
 
 // Result summarizes a completed job.
@@ -439,16 +409,17 @@ type Result struct {
 	// ShuffleFetchRetries counts injected shuffle-fetch faults absorbed
 	// by per-source retry instead of failing the reduce attempt.
 	ShuffleFetchRetries int
-	// ShuffleStagingPeak is the staging buffer's high-water mark in wire
-	// bytes (compressed length when wire compression is on).
+	// ShuffleStagingPeak is the staging buffer's high-water mark in bytes.
 	ShuffleStagingPeak int64
 	// ShuffleBatchFetches counts copier batch operations — one fabric
 	// transfer each; ShuffleBatchSegments counts the segments they carried
 	// (their ratio is the batching factor).
 	ShuffleBatchFetches  int
 	ShuffleBatchSegments int
-	// ShuffleWireSavedBytes is raw-minus-wire bytes saved by compressing
-	// segments before the staging hop (zero under ShuffleRawWire).
+	// ShuffleWireSavedBytes is always zero.
+	//
+	// Deprecated: shuffle wire compression was retired; segments cross
+	// the fabric in their on-disk format. Kept for existing readers.
 	ShuffleWireSavedBytes int64
 	// ShuffleGovThrottles counts copier batches that had to wait for a
 	// governor token while the map phase was fabric-hot.

@@ -44,7 +44,9 @@ func computeSplits(fs *dfs.DFS, inputs []string) ([]Split, error) {
 // byte, otherwise it consumes the tail of a line owned by the previous
 // split. Conversely the scanner finishes a line that starts inside the
 // split even when it extends past the split end (DFS reads continue into
-// the next block transparently).
+// the next block transparently). Map tasks read through blockScanner;
+// lineScanner is kept as the boundary oracle its tests compare against
+// and as the ingest benchmark's baseline (OpenSplitSerial).
 type lineScanner struct {
 	r        *bufio.Reader
 	rc       io.ReadCloser

@@ -429,7 +429,7 @@ func runMapTask(c *cluster.Cluster, job *Job, taskIdx int, split Split, node, sl
 	}()
 
 	// Map goroutine: read the split and apply map().
-	scanner, err := openSplit(c.FS, split, node, job)
+	scanner, err := openBlockLines(c.FS, split, node, defaultIngestChunk)
 	if err != nil {
 		buf.Close()
 		<-supportErr

@@ -267,7 +267,6 @@ func RunContext(ctx context.Context, c *cluster.Cluster, spec *Job) (*Result, er
 		res.ShuffleStagingPeak = ctr[metrics.CtrShuffleStagingPeak]
 		res.ShuffleBatchFetches = int(ctr[metrics.CtrShuffleBatchFetches])
 		res.ShuffleBatchSegments = int(ctr[metrics.CtrShuffleBatchSegments])
-		res.ShuffleWireSavedBytes = ctr[metrics.CtrShuffleWireSavedBytes]
 		res.ShuffleGovThrottles = int(ctr[metrics.CtrShuffleGovThrottles])
 	}
 	res.LocalMapTasks, res.StolenMapTasks = sched.placement()

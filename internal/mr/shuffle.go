@@ -24,19 +24,14 @@ import (
 // direct-fetched exactly like the serial shuffle, so the pipelined path
 // never changes job output.
 //
-// The fetch plane is batched, compressed, and governed (DESIGN §10):
+// The fetch plane is batched and governed (DESIGN §10):
 //
 //   - Batching: a copier visiting a source node drains all of that node's
 //     queued segments for its partition in one fabric transfer, up to
-//     Job.ShuffleBatchBytes, amortizing the per-transfer fabric latency
+//     copierBatchBytes, amortizing the per-transfer fabric latency
 //     that made fine-grained fan-out pay one round trip per segment.
-//   - Wire compression: segments of uncompressed map outputs are
-//     transcoded to kvio's prefix-compressed run format before the
-//     staging hop, and stay compressed — on the wire, in the staging
-//     budget, on the staging disk, and across the take hop — until the
-//     reduce-side merge decodes them. Every staging byte count (reserve,
-//     spill threshold, peak, counters) is the wire length, never the raw
-//     length.
+//     Segments cross the fabric and stage in their on-disk format
+//     (prefix-compressed only when the job sets CompressRuns).
 //   - Governing: copiers take a token from the contention-aware governor
 //     (governor.go) before each batch, so fan-out backs off while the map
 //     phase is fabric-hot and ramps up as maps drain.
@@ -46,6 +41,12 @@ import (
 // wait is the backpressure; the overflow keeps copiers from deadlocking
 // against reducers that have not started consuming yet.
 const stagingReserveWait = 2 * time.Millisecond
+
+// copierBatchBytes caps one copier batch: a copier visiting a source
+// node drains that node's ready segments for its partition in one fabric
+// transfer up to this many bytes. The head segment is always taken, even
+// if it alone exceeds the cap.
+const copierBatchBytes = 1 << 20
 
 // stagingBuffer bounds the memory held by staged shuffle segments.
 // Copiers reserve space before keeping fetched bytes in memory and
@@ -148,26 +149,25 @@ type stageReq struct {
 	out mapOutput
 }
 
-// stagedSeg is one fetched segment parked at its partition's staging home:
-// raw bytes in memory inside the budget, or a file on the home disk.
+// stagedSeg is one fetched segment parked at its partition's staging home,
+// in its on-disk format: in memory inside the budget, or a file on the
+// home disk.
 type stagedSeg struct {
 	data       []byte // in-memory copy; nil when overflowed to disk
 	file       string // staging file on the home node's disk when data == nil
 	len        int64
-	compressed bool
+	compressed bool // kvio prefix-compressed run format (Job.CompressRuns)
 }
 
 // shuffleService runs the job-wide copier pools. All methods are nil-safe
 // so the serial-shuffle configuration can skip every call site.
 type shuffleService struct {
-	c          *cluster.Cluster
-	tr         *trace.Tracer
-	prefix     string
-	copiers    int
-	batchBytes int64
-	rawWire    bool
-	gov        *copierGovernor
-	buf        *stagingBuffer
+	c       *cluster.Cluster
+	tr      *trace.Tracer
+	prefix  string
+	copiers int
+	gov     *copierGovernor
+	buf     *stagingBuffer
 	// tm is the service's own metrics. Staging work belongs to the job,
 	// not to any single attempt — an attempt's report is discarded when it
 	// fails or loses a commit race, which would silently drop counts — so
@@ -190,23 +190,19 @@ type shuffleService struct {
 func newShuffleService(c *cluster.Cluster, job *Job) *shuffleService {
 	parts := job.NumReducers
 	s := &shuffleService{
-		c:          c,
-		tr:         job.Trace,
-		prefix:     job.filePrefix,
-		copiers:    job.ShuffleCopiers,
-		batchBytes: job.ShuffleBatchBytes,
-		rawWire:    job.ShuffleRawWire,
-		buf:        newStagingBuffer(job.ShuffleBufferBytes),
-		tm:         metrics.NewTaskMetrics(),
-		hists:      job.Hists,
-		pend:       make([][]stageReq, parts),
-		staged:     make([]map[int]*stagedSeg, parts),
-		released:   make([]bool, parts),
+		c:        c,
+		tr:       job.Trace,
+		prefix:   job.filePrefix,
+		copiers:  job.ShuffleCopiers,
+		gov:      newCopierGovernor(1, job.ShuffleCopiers*parts, c.Net.InFlight),
+		buf:      newStagingBuffer(job.ShuffleBufferBytes),
+		tm:       metrics.NewTaskMetrics(),
+		hists:    job.Hists,
+		pend:     make([][]stageReq, parts),
+		staged:   make([]map[int]*stagedSeg, parts),
+		released: make([]bool, parts),
 	}
 	s.cond = sync.NewCond(&s.mu)
-	if !job.ShuffleUngoverned {
-		s.gov = newCopierGovernor(1, job.ShuffleCopiers*parts, c.Net.InFlight)
-	}
 	for p := 0; p < parts; p++ {
 		s.staged[p] = make(map[int]*stagedSeg)
 		for ci := 0; ci < s.copiers; ci++ {
@@ -306,12 +302,12 @@ func (s *shuffleService) popBatchLocked(part int) []stageReq {
 	q := s.pend[part]
 	head := q[0]
 	batch := []stageReq{head}
-	total := segWireHint(head, part)
+	total := segLen(head, part)
 	var keep []stageReq
 	for _, r := range q[1:] {
-		if hint := segWireHint(r, part); r.out.node == head.out.node && total+hint <= s.batchBytes {
+		if n := segLen(r, part); r.out.node == head.out.node && total+n <= copierBatchBytes {
 			batch = append(batch, r)
-			total += hint
+			total += n
 		} else {
 			keep = append(keep, r)
 		}
@@ -320,37 +316,33 @@ func (s *shuffleService) popBatchLocked(part int) []stageReq {
 	return batch
 }
 
-// segWireHint estimates a queued segment's wire size from its on-disk
-// length — the only size known before the fetch (transcoding may shrink
-// it further).
-func segWireHint(r stageReq, part int) int64 {
+// segLen is a queued segment's on-disk length, which is also the number
+// of bytes its fetch moves across the fabric.
+func segLen(r stageReq, part int) int64 {
 	if part < 0 || part >= len(r.out.index.Segments) {
 		return 0
 	}
 	return r.out.index.Segments[part].Len
 }
 
-// fetchedSeg is one batch member read from its source disk, possibly
-// transcoded to the compressed wire format.
+// fetchedSeg is one batch member read from its source disk.
 type fetchedSeg struct {
-	req        stageReq
-	data       []byte
-	compressed bool
+	req  stageReq
+	data []byte
 }
 
 // stageBatch fetches a batch of same-source segments to the partition's
-// staging home in one fabric transfer, compressing uncompressed segments
-// for the wire first. Staging stays best-effort: a segment that fails to
-// read is dropped from the batch, a failed transfer abandons the whole
-// batch, and reduce attempts direct-fetch whatever was not staged.
+// staging home in one fabric transfer. Staging stays best-effort: a
+// segment that fails to read is dropped from the batch, a failed transfer
+// abandons the whole batch, and reduce attempts direct-fetch whatever was
+// not staged.
 func (s *shuffleService) stageBatch(part, ci int, batch []stageReq) {
 	home := s.home(part)
 	copierSlot := s.c.ReduceSlots() + ci
 	span := s.tr.StartAttempt(trace.KindShuffleCopy, trace.LaneReduce, home, batch[0].src, copierSlot, part)
 	var (
 		segs    []fetchedSeg
-		wire    int64 // total bytes as they will cross the fabric
-		raw     int64 // total bytes as they sit on the source disks
+		wire    int64 // total bytes the batch moves across the fabric
 		records int64
 	)
 	for _, req := range batch {
@@ -361,19 +353,9 @@ func (s *shuffleService) stageBatch(part, ci int, batch []stageReq) {
 		if err != nil {
 			continue
 		}
-		f := fetchedSeg{req: req, data: data, compressed: req.out.index.Compressed}
-		raw += int64(len(data))
-		if !f.compressed && !s.rawWire && len(data) > 0 {
-			// Keep the raw bytes when transcoding does not pay: tiny
-			// segments (a handful of records at high fan-out) can expand
-			// by a frame byte per record.
-			if enc, cerr := kvio.CompressSegment(data); cerr == nil && len(enc) < len(data) {
-				f.data, f.compressed = enc, true
-			}
-		}
-		wire += int64(len(f.data))
+		wire += int64(len(data))
 		records += req.out.index.Segments[part].Records
-		segs = append(segs, f)
+		segs = append(segs, fetchedSeg{req: req, data: data})
 	}
 	if len(segs) == 0 {
 		span.End()
@@ -392,9 +374,6 @@ func (s *shuffleService) stageBatch(part, ci int, batch []stageReq) {
 	}
 	s.tm.Inc(metrics.CtrShuffleBatchFetches, 1)
 	s.tm.Inc(metrics.CtrShuffleBatchSegments, int64(len(segs)))
-	if saved := raw - wire; saved > 0 {
-		s.tm.Inc(metrics.CtrShuffleWireSavedBytes, saved)
-	}
 	var staged int64
 	for _, f := range segs {
 		if s.stageOne(part, home, copierSlot, f) {
@@ -406,12 +385,9 @@ func (s *shuffleService) stageBatch(part, ci int, batch []stageReq) {
 
 // stageOne parks one fetched segment at the staging home: in the memory
 // budget when a reservation lands, otherwise spilled to the home disk.
-// The wire length — compressed when transcoding shrank the segment — is
-// the one size used for the reservation, the spill decision, and every
-// staging counter, so budget accounting never mixes raw and compressed
-// byte counts. Reports whether the segment ended up staged.
+// Reports whether the segment ended up staged.
 func (s *shuffleService) stageOne(part, home, copierSlot int, f fetchedSeg) bool {
-	st := &stagedSeg{len: int64(len(f.data)), compressed: f.compressed}
+	st := &stagedSeg{len: int64(len(f.data)), compressed: f.req.out.index.Compressed}
 	reserveStart := time.Now()
 	ok, waited := s.buf.reserve(st.len, stagingReserveWait)
 	if waited > 0 {

@@ -4,13 +4,10 @@ import (
 	"testing"
 
 	"mrtext/internal/kvio"
-	"mrtext/internal/metrics"
 )
 
 // Batched-fetch-plane unit suite: batch selection must group same-source
-// segments under the byte cap, and staging accounting must count wire
-// (compressed) bytes consistently — the raw length never leaks into the
-// budget, the spill decision, or the counters.
+// segments under the byte cap.
 
 // batchReq builds a queued stage request whose single-partition segment
 // claims length n on source node.
@@ -34,12 +31,13 @@ func batchSrcs(batch []stageReq) []int {
 // is always taken, same-node followers join while the size hints fit the
 // cap, everything else stays queued in order.
 func TestPopBatchGroupsSameSourceUnderCap(t *testing.T) {
-	s := &shuffleService{batchBytes: 25, pend: make([][]stageReq, 1)}
+	const seg = copierBatchBytes * 2 / 5
+	s := &shuffleService{pend: make([][]stageReq, 1)}
 	s.pend[0] = []stageReq{
-		batchReq(0, 0, 10),
-		batchReq(1, 0, 10),
-		batchReq(2, 1, 10), // other source node
-		batchReq(3, 0, 10), // same node, but 30 > 25
+		batchReq(0, 0, seg),
+		batchReq(1, 0, seg),
+		batchReq(2, 1, seg), // other source node
+		batchReq(3, 0, seg), // same node, but three segments exceed the cap
 	}
 	batch := s.popBatchLocked(0)
 	if got := batchSrcs(batch); len(got) != 2 || got[0] != 0 || got[1] != 1 {
@@ -50,62 +48,12 @@ func TestPopBatchGroupsSameSourceUnderCap(t *testing.T) {
 	}
 
 	// An oversized head still ships — alone.
-	s.batchBytes = 5
-	s.pend[0] = []stageReq{batchReq(7, 1, 10), batchReq(8, 1, 1)}
+	s.pend[0] = []stageReq{batchReq(7, 1, 2*copierBatchBytes), batchReq(8, 1, 1)}
 	batch = s.popBatchLocked(0)
 	if got := batchSrcs(batch); len(got) != 1 || got[0] != 7 {
 		t.Fatalf("oversized-head batch srcs = %v, want [7]", got)
 	}
 	if got := batchSrcs(s.pend[0]); len(got) != 1 || got[0] != 8 {
 		t.Fatalf("kept queue srcs = %v, want [8]", got)
-	}
-}
-
-// TestStagingAccountsWireBytes pins satellite accounting: with wire
-// compression on, every staging byte count is the compressed length. A
-// first run learns the wire total; a second run with exactly that budget
-// must stage everything in memory with zero spills, even though the raw
-// segment bytes exceed the budget.
-func TestStagingAccountsWireBytes(t *testing.T) {
-	c := newUnitCluster(t, nil)
-	outs := writeUnitMapOuts(t, c)
-	var rawTotal int64
-	for _, out := range outs {
-		rawTotal += out.index.TotalBytes()
-	}
-
-	svc := newShuffleService(c, unitShuffleJob(1<<20))
-	for m, out := range outs {
-		svc.offer(m, out)
-	}
-	waitStagedSegments(t, svc, unitParts*unitMaps)
-	svc.close()
-	wireTotal := svc.tm.Counter(metrics.CtrShuffleStagedBytes)
-	saved := svc.tm.Counter(metrics.CtrShuffleWireSavedBytes)
-	if wireTotal >= rawTotal {
-		t.Fatalf("wire total %d not below raw total %d; compression missing", wireTotal, rawTotal)
-	}
-	if saved != rawTotal-wireTotal {
-		t.Fatalf("wire-saved counter = %d, want raw-wire = %d", saved, rawTotal-wireTotal)
-	}
-	if fetches, segs := svc.tm.Counter(metrics.CtrShuffleBatchFetches), svc.tm.Counter(metrics.CtrShuffleBatchSegments); segs != unitParts*unitMaps || fetches < 1 || fetches > segs {
-		t.Fatalf("batch counters: %d fetches, %d segments, want 1 <= fetches <= segments == %d",
-			fetches, segs, unitParts*unitMaps)
-	}
-
-	c2 := newUnitCluster(t, nil)
-	outs2 := writeUnitMapOuts(t, c2)
-	svc2 := newShuffleService(c2, unitShuffleJob(wireTotal))
-	defer svc2.close()
-	for m, out := range outs2 {
-		svc2.offer(m, out)
-	}
-	waitStagedSegments(t, svc2, unitParts*unitMaps)
-	if spills := svc2.tm.Counter(metrics.CtrShuffleStagedSpills); spills != 0 {
-		t.Fatalf("%d spills with a budget equal to the wire total %d — staging must be charging raw bytes",
-			spills, wireTotal)
-	}
-	if peak := svc2.buf.peakBytes(); peak > wireTotal {
-		t.Fatalf("staging peak %d exceeds the wire-total budget %d", peak, wireTotal)
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"mrtext/internal/chaos"
 	"mrtext/internal/cluster"
+	"mrtext/internal/metrics"
 	"mrtext/internal/mr"
 	"mrtext/internal/textgen"
 )
@@ -61,11 +62,12 @@ func TestPipelinedShuffleMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestShuffleFetchPlaneVariantsMatchSerial sweeps the fetch-plane knobs —
-// raw wire (no compression), a 1-byte batch cap that degenerates every
-// batch to a single segment, the ungoverned copier pool, and the
-// compressed path squeezed through a 1-byte staging budget — and requires
-// byte-identical outputs against a serial-shuffle reference for each.
+// TestShuffleFetchPlaneVariantsMatchSerial covers the staged path of
+// compressed segments: under CompressRuns a 1-byte staging budget makes
+// copiers stage prefix-compressed segments on the staging disk, reduce
+// attempts read them back in that format, and the output must be
+// byte-identical to a serial-shuffle reference. (The plain-format 1-byte
+// cell is in TestPipelinedShuffleMatchesSerial.)
 func TestShuffleFetchPlaneVariantsMatchSerial(t *testing.T) {
 	serialC, corpus := newFTCluster(t, nil)
 	serialJob := ftJob(corpus, "wc-variant-serial")
@@ -76,28 +78,21 @@ func TestShuffleFetchPlaneVariantsMatchSerial(t *testing.T) {
 	}
 	ref := readOutputs(t, serialC, serialRes)
 
-	cases := []struct {
-		name string
-		tune func(job *mr.Job)
-	}{
-		{"raw-wire", func(job *mr.Job) { job.ShuffleRawWire = true }},
-		{"one-byte-batch", func(job *mr.Job) { job.ShuffleBatchBytes = 1 }},
-		{"ungoverned", func(job *mr.Job) { job.ShuffleUngoverned = true }},
-		{"compressed-one-byte-buffer", func(job *mr.Job) { job.ShuffleBufferBytes = 1 }},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			c, corpus := newFTCluster(t, nil)
-			job := ftJob(corpus, "wc-variant-"+tc.name)
-			tc.tune(job)
-			res, err := mr.Run(c, job)
-			if err != nil {
-				t.Fatalf("pipelined run: %v", err)
-			}
-			assertOutputsMatch(t, c, res, ref)
-		})
-	}
+	t.Run("compressed-one-byte-buffer", func(t *testing.T) {
+		c, corpus := newFTCluster(t, nil)
+		job := ftJob(corpus, "wc-variant-compressed")
+		job.CompressRuns = true
+		job.ShuffleBufferBytes = 1
+		res, err := mr.Run(c, job)
+		if err != nil {
+			t.Fatalf("pipelined run: %v", err)
+		}
+		assertOutputsMatch(t, c, res, ref)
+		if hits := res.Agg.Counters[metrics.CtrShuffleStagedHits]; res.ShuffleStagedSpills == 0 || hits == 0 {
+			t.Fatalf("%d staged spills, %d staged hits: the 1-byte budget must stage segments on disk for reducers to read back",
+				res.ShuffleStagedSpills, hits)
+		}
+	})
 }
 
 // TestEarlyFetchOverlapsMapPhase gives the job two full waves of map

@@ -58,7 +58,11 @@ func writeError(w http.ResponseWriter, code int, err error) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	// Unknown fields are an error, not a silent no-op: a client still
+	// sending a retired knob must learn that the job would not honor it.
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("mrserve: bad submit body: %w", err))
 		return
 	}

@@ -272,6 +272,21 @@ func TestServeBadRequests(t *testing.T) {
 		t.Errorf("missing tenant: status %d, want 400", resp.StatusCode)
 	}
 
+	// A retired knob must be refused by name, not silently ignored.
+	uresp, err := http.Post(ts.URL+"/jobs", "application/json",
+		strings.NewReader(`{"tenant":"alice","spec":{"app":"wordcount","shuffle_raw_wire":true}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ubody, err := io.ReadAll(uresp.Body)
+	uresp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if uresp.StatusCode != http.StatusBadRequest || !strings.Contains(string(ubody), "shuffle_raw_wire") {
+		t.Errorf("unknown spec field: status %d body %q, want 400 naming shuffle_raw_wire", uresp.StatusCode, ubody)
+	}
+
 	gresp, err := http.Get(ts.URL + "/jobs/j-999999")
 	if err != nil {
 		t.Fatal(err)

@@ -75,16 +75,6 @@ type Spec struct {
 	SerialShuffle  bool `json:"serial_shuffle,omitempty"`
 	// ShuffleBufferMB bounds the staging buffer (0 = default 32 MiB).
 	ShuffleBufferMB int64 `json:"shuffle_buffer_mb,omitempty"`
-	// ShuffleBatchBytes caps one copier batch's wire bytes (0 = default
-	// 1 MiB); ShuffleRawWire disables segment compression on the fabric;
-	// ShuffleUngoverned disables the contention-aware copier governor.
-	ShuffleBatchBytes int64 `json:"shuffle_batch_bytes,omitempty"`
-	ShuffleRawWire    bool  `json:"shuffle_raw_wire,omitempty"`
-	ShuffleUngoverned bool  `json:"shuffle_ungoverned,omitempty"`
-	// SerialIngest reverts to the bufio line scanner; IngestChunkKB sizes
-	// the batched reader's arena (0 = default).
-	SerialIngest  bool  `json:"serial_ingest,omitempty"`
-	IngestChunkKB int64 `json:"ingest_chunk_kb,omitempty"`
 	// Chaos, when non-nil, runs the job under a private fault injector.
 	Chaos *ChaosSpec `json:"chaos,omitempty"`
 }
@@ -235,15 +225,6 @@ func (s *Spec) BuildJob(nodes int) (*mr.Job, error) {
 	}
 	if s.ShuffleBufferMB > 0 {
 		job.ShuffleBufferBytes = s.ShuffleBufferMB << 20
-	}
-	if s.ShuffleBatchBytes > 0 {
-		job.ShuffleBatchBytes = s.ShuffleBatchBytes
-	}
-	job.ShuffleRawWire = s.ShuffleRawWire
-	job.ShuffleUngoverned = s.ShuffleUngoverned
-	job.SerialIngest = s.SerialIngest
-	if s.IngestChunkKB > 0 {
-		job.IngestChunkBytes = s.IngestChunkKB << 10
 	}
 	if s.Chaos != nil {
 		inj, err := chaos.New(chaos.Config{
