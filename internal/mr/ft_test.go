@@ -10,6 +10,7 @@ import (
 	"mrtext/internal/apps"
 	"mrtext/internal/chaos"
 	"mrtext/internal/cluster"
+	"mrtext/internal/metrics"
 	"mrtext/internal/mr"
 	"mrtext/internal/textgen"
 )
@@ -368,6 +369,69 @@ func TestChaosOffIsCleanRun(t *testing.T) {
 	}
 	if len(res.DeadNodes) != 0 || len(res.BlacklistedNodes) != 0 {
 		t.Errorf("clean run reported dead %v / blacklisted %v nodes", res.DeadNodes, res.BlacklistedNodes)
+	}
+}
+
+// TestCountersHaveOneSource pins the one-source rule for counters on a
+// run with faults, stragglers and speculation: every named counter field
+// on Result equals its Agg.Counters entry, and the runner's job-level
+// counters reach the live aggregate while the job runs, so /metrics sees
+// attempts and placement, not only the post-run Result.
+func TestCountersHaveOneSource(t *testing.T) {
+	ref := ftReference(t)
+	metrics.DisableLive() // start the live aggregate from zero
+	metrics.EnableLive()
+	defer metrics.DisableLive()
+
+	cfg := chaos.Config{Seed: 11, FailRate: 0.10, KillNode: -1, DelayRate: 0.3, Delay: 20 * time.Millisecond}
+	c, corpus := newFTCluster(t, &cfg)
+	job := ftJob(corpus, "wc-one-source")
+	job.Speculation = true
+	res, err := mr.Run(c, job)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	assertOutputsMatch(t, c, res, ref)
+	assertCounterIdentity(t, res)
+	if res.FailedAttempts+res.SpeculativeTasks == 0 {
+		t.Fatal("run exercised neither retry nor speculation; the check below would be vacuous")
+	}
+
+	ctr := res.Agg.Counters
+	for name, field := range map[string]int64{
+		metrics.CtrLocalMapTasks:        int64(res.LocalMapTasks),
+		metrics.CtrStolenMapTasks:       int64(res.StolenMapTasks),
+		metrics.CtrMapAttempts:          int64(res.MapAttempts),
+		metrics.CtrReduceAttempts:       int64(res.ReduceAttempts),
+		metrics.CtrTaskRetries:          int64(res.TaskRetries),
+		metrics.CtrSpeculativeTasks:     int64(res.SpeculativeTasks),
+		metrics.CtrSpeculativeWins:      int64(res.SpeculativeWins),
+		metrics.CtrRecoveredMapTasks:    int64(res.RecoveredMapTasks),
+		metrics.CtrFailedAttempts:       int64(res.FailedAttempts),
+		metrics.CtrSweptAttemptDirs:     int64(res.SweptAttempts),
+		metrics.CtrCleanupErrors:        int64(res.CleanupErrors),
+		metrics.CtrShuffleEarlySegments: int64(res.ShuffleEarlySegments),
+		metrics.CtrShuffleStagedSpills:  int64(res.ShuffleStagedSpills),
+		metrics.CtrShuffleFetchRetries:  int64(res.ShuffleFetchRetries),
+		metrics.CtrShuffleStagingPeak:   res.ShuffleStagingPeak,
+		metrics.CtrShuffleBatchFetches:  int64(res.ShuffleBatchFetches),
+		metrics.CtrShuffleBatchSegments: int64(res.ShuffleBatchSegments),
+		metrics.CtrShuffleGovThrottles:  int64(res.ShuffleGovThrottles),
+	} {
+		if field != ctr[name] {
+			t.Errorf("Result field for %s = %d, Agg.Counters = %d", name, field, ctr[name])
+		}
+	}
+
+	live := metrics.LiveSnapshot().Counters
+	for name, want := range map[string]int{
+		metrics.CtrMapAttempts:    res.MapAttempts,
+		metrics.CtrReduceAttempts: res.ReduceAttempts,
+		metrics.CtrLocalMapTasks:  res.LocalMapTasks,
+	} {
+		if live[name] != int64(want) {
+			t.Errorf("live %s = %d, Result = %d", name, live[name], want)
+		}
 	}
 }
 

@@ -343,21 +343,26 @@ type TaskReport struct {
 	// QueueWait spans from task submission to completion, so per-task
 	// reports tile the phase wall time they belong to.
 	QueueWait time.Duration
-	// ShuffleBytes is the reduce task's fetched shuffle volume (the
-	// CtrShuffleBytes counter surfaced for swimlane labeling); zero for
-	// map tasks.
-	ShuffleBytes int64
-	Metrics      metrics.Snapshot
-	Spill        spillbuf.Stats
-	FreqStats    freqbuf.Stats
+	// Metrics is the winning attempt's instrumentation; a reduce task's
+	// fetched shuffle volume is its CtrShuffleBytes counter.
+	Metrics   metrics.Snapshot
+	Spill     spillbuf.Stats
+	FreqStats freqbuf.Stats
 }
 
 // Result summarizes a completed job.
+//
+// Counters have one source: Agg.Counters. The named int counter fields
+// below (placement, fault tolerance, pipelined shuffle) are views of it,
+// filled from Agg.Counters when the job completes, so each one equals
+// Agg.Counters under its metrics.Ctr* name.
 type Result struct {
-	Job         string
-	Wall        time.Duration
-	MapWall     time.Duration // wall time of the map phase (all map tasks done)
-	ReduceWall  time.Duration // wall time of shuffle+reduce
+	Job        string
+	Wall       time.Duration
+	MapWall    time.Duration // wall time of the map phase (all map tasks done)
+	ReduceWall time.Duration // wall time of shuffle+reduce
+	// Agg merges the winning attempts' task metrics with the runner's
+	// job-level counters (attempts, placement, sweeps, shuffle service).
 	Agg         metrics.Snapshot
 	Tasks       []TaskReport
 	Outputs     []string
@@ -390,7 +395,8 @@ type Result struct {
 	FailedAttempts int
 	// SweptAttempts counts failed or losing attempts whose attempt-scoped
 	// temp files were swept; CleanupErrors counts best-effort removals
-	// that failed on a live node.
+	// that failed on a live node — attempt sweeps, job intermediates,
+	// committed map tasks' spill runs and staged shuffle segments alike.
 	SweptAttempts int
 	CleanupErrors int
 	// DeadNodes lists nodes the chaos layer killed during the job;

@@ -500,57 +500,12 @@ func runMapTask(c *cluster.Cluster, job *Job, taskIdx int, split Split, node, sl
 	// attempt by renaming it to the canonical map-output name.
 	outName := attemptMapOutName(dir)
 	created = append(created, outName)
-	out, err := kvio.NewRunSink(disk, outName, job.NumReducers, job.CompressRuns)
-	if err != nil {
-		return fail(err)
-	}
-	var mergeCombineAcc time.Duration
-	timedMergeCombine := job.Combine
-	if job.Combine != nil {
-		timedMergeCombine = func(key []byte, vals [][]byte, emit func(k, v []byte) error) error {
-			t0 := time.Now()
-			err := job.Combine(key, vals, emit)
-			mergeCombineAcc += time.Since(t0)
-			return err
-		}
-	}
 	drainByPart, err := splitByPartition(drained, job.NumReducers)
 	if err != nil {
 		return fail(err)
 	}
 	mergeSpan := sp.start(trace.KindMerge, trace.LaneMap)
-	for p := 0; p < job.NumReducers; p++ {
-		if job.cancel.Load() {
-			mergeSpan.End()
-			return fail(errJobCanceled)
-		}
-		if plan != nil {
-			if err := plan.Check(chaos.SiteMerge); err != nil {
-				mergeSpan.End()
-				return fail(err)
-			}
-		}
-		t0 := time.Now()
-		before := mergeCombineAcc
-		var streams []kvio.Stream
-		for _, run := range runs {
-			s, err := kvio.OpenRunPart(disk, run, p)
-			if err != nil {
-				return fail(err)
-			}
-			streams = append(streams, s)
-		}
-		if len(drainByPart[p]) > 0 {
-			streams = append(streams, kvio.NewSliceStream(drainByPart[p]))
-		}
-		if _, _, err := kvio.MergeInto(streams, p, out, timedMergeCombine); err != nil {
-			return fail(err)
-		}
-		delta := mergeCombineAcc - before
-		tm.Add(metrics.OpMerge, time.Since(t0)-delta)
-		tm.Add(metrics.OpCombineUser, delta)
-	}
-	outIdx, err := out.Close()
+	outIdx, err := mergeRuns(disk, outName, runs, drainByPart, job, plan, tm)
 	if err != nil {
 		mergeSpan.End()
 		return fail(err)
@@ -573,6 +528,67 @@ func runMapTask(c *cluster.Cluster, job *Job, taskIdx int, split Split, node, sl
 	// The spills are gone; the only surviving attempt file is the output
 	// run, which the runner either commits or sweeps.
 	return mapOutput{node: node, index: outIdx}, report, []string{outName}, nil
+}
+
+// mergeRuns merges every spill run, plus the drained frequent-key
+// aggregates (drained[p] for partition p), partition by partition into
+// one output run named outName, combining as it goes. Every exit closes
+// what it opened: the run streams of the partition being merged and the
+// output sink.
+func mergeRuns(disk vdisk.Disk, outName string, runs []kvio.RunIndex, drained [][]kvio.Record, job *Job, plan *chaos.Plan, tm *metrics.TaskMetrics) (kvio.RunIndex, error) {
+	out, err := kvio.NewRunSink(disk, outName, job.NumReducers, job.CompressRuns)
+	if err != nil {
+		return kvio.RunIndex{}, err
+	}
+	var combineAcc time.Duration
+	combine := job.Combine
+	if combine != nil {
+		combine = func(key []byte, vals [][]byte, emit func(k, v []byte) error) error {
+			t0 := time.Now()
+			err := job.Combine(key, vals, emit)
+			combineAcc += time.Since(t0)
+			return err
+		}
+	}
+	mergePart := func(p int) error {
+		if job.cancel.Load() {
+			return errJobCanceled
+		}
+		if plan != nil {
+			if err := plan.Check(chaos.SiteMerge); err != nil {
+				return err
+			}
+		}
+		streams := make([]kvio.Stream, 0, len(runs)+1)
+		for _, run := range runs {
+			s, err := kvio.OpenRunPart(disk, run, p)
+			if err != nil {
+				for _, open := range streams {
+					err = errors.Join(err, open.Close())
+				}
+				return err
+			}
+			streams = append(streams, s)
+		}
+		if len(drained[p]) > 0 {
+			streams = append(streams, kvio.NewSliceStream(drained[p]))
+		}
+		// MergeInto closes the streams, on failure as on success.
+		_, _, err := kvio.MergeInto(streams, p, out, combine)
+		return err
+	}
+	for p := 0; p < job.NumReducers; p++ {
+		t0 := time.Now()
+		before := combineAcc
+		if err := mergePart(p); err != nil {
+			_, cerr := out.Close()
+			return kvio.RunIndex{}, errors.Join(err, cerr)
+		}
+		delta := combineAcc - before
+		tm.Add(metrics.OpMerge, time.Since(t0)-delta)
+		tm.Add(metrics.OpCombineUser, delta)
+	}
+	return out.Close()
 }
 
 // splitByPartition groups already-sorted drained records by partition,

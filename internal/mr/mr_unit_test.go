@@ -148,7 +148,8 @@ func TestSchedulerLocalityAndStealing(t *testing.T) {
 		{Hosts: []int{1}},
 		{Hosts: []int{99}}, // orphan: bogus host
 	}
-	s := newScheduler(2, splits)
+	tm := metrics.NewTaskMetrics()
+	s := newScheduler(2, splits, tm)
 	// Node 1 takes its local task first.
 	task, src, ok := s.take(1)
 	if !ok || task != 3 || src != takeLocal {
@@ -175,11 +176,11 @@ func TestSchedulerLocalityAndStealing(t *testing.T) {
 	}
 	// Placement counters: 3 local (tasks 3, 0, 1), 1 stolen (task 2);
 	// the orphan counts toward neither.
-	if local, stolen := s.placement(); local != 3 || stolen != 1 {
+	if local, stolen := tm.Counter(metrics.CtrLocalMapTasks), tm.Counter(metrics.CtrStolenMapTasks); local != 3 || stolen != 1 {
 		t.Errorf("placement: local=%d stolen=%d, want 3/1", local, stolen)
 	}
 	// Abort stops handing out work.
-	s2 := newScheduler(1, splits[:1])
+	s2 := newScheduler(1, splits[:1], metrics.NewTaskMetrics())
 	s2.abort()
 	if _, _, ok := s2.take(0); ok {
 		t.Error("take after abort succeeded")

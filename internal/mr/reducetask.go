@@ -316,7 +316,6 @@ func runReduceTask(c *cluster.Cluster, job *Job, part, node, slot, attempt int, 
 	taskSpan := sp.start(trace.KindReduceTask, trace.LaneReduce)
 	fail := func(err error) (string, bool, []string, TaskReport, error) {
 		report.Wall = time.Since(start)
-		report.ShuffleBytes = tm.Counter(metrics.CtrShuffleBytes)
 		report.Metrics = tm.Snapshot()
 		taskSpan.EndCounts(tm.Counter(metrics.CtrOutputRecords), tm.Counter(metrics.CtrOutputBytes))
 		return "", false, created, report, fmt.Errorf("mr: reduce task %d attempt %d (node %d): %w", part, attempt, node, err)
@@ -406,7 +405,6 @@ func runReduceTask(c *cluster.Cluster, job *Job, part, node, slot, attempt int, 
 	}
 
 	report.Wall = time.Since(start)
-	report.ShuffleBytes = tm.Counter(metrics.CtrShuffleBytes)
 	report.Metrics = tm.Snapshot()
 	taskSpan.EndCounts(tm.Counter(metrics.CtrOutputRecords), tm.Counter(metrics.CtrOutputBytes))
 	return finalName, won, created, report, nil

@@ -54,7 +54,6 @@ func RunContext(ctx context.Context, c *cluster.Cluster, spec *Job) (*Result, er
 	if job.Trace == nil {
 		job.Trace = trace.Default()
 	}
-	tr := job.Trace
 
 	// The job's fault source: the cluster injector unless the job carries
 	// its own (a service running many jobs injects per job, so one
@@ -73,11 +72,10 @@ func RunContext(ctx context.Context, c *cluster.Cluster, spec *Job) (*Result, er
 
 	start := time.Now()
 	res := &Result{Job: job.Name, MapTasks: len(splits), ReduceTasks: job.NumReducers}
-	jobSpan := tr.Start(trace.KindJob, trace.LaneScheduler, -1, -1, 0)
+	jobSpan := job.Trace.Start(trace.KindJob, trace.LaneScheduler, -1, -1, 0)
 	defer jobSpan.End()
 
-	ft := newFTRun(c, job)
-	ft.inj = inj
+	ft := newFTRun(c, job, inj, splits)
 
 	// The cancellation watcher: flip the job's cancel flag (which task
 	// loops poll) and fail the run (which wakes workers blocked on the
@@ -99,179 +97,52 @@ func RunContext(ctx context.Context, c *cluster.Cluster, spec *Job) (*Result, er
 	}
 
 	// The pipelined shuffle stages committed map outputs as they appear,
-	// overlapping shuffle I/O with the rest of the map phase. The deferred
-	// close covers early error returns; the success path closes it
-	// explicitly before reading its counters.
-	var svc *shuffleService
+	// overlapping shuffle I/O with the rest of the map phase. Reduce
+	// attempts see it through shuffleEnv, whose resnapshot lets an
+	// attempt that catches a source node death mid-fetch run lost-output
+	// recovery in place and refetch. The deferred close covers early
+	// error returns; the success path closes it explicitly before reading
+	// its counters.
 	if !job.SerialShuffle {
-		svc = newShuffleService(c, job)
-		ft.shuffle = svc
-		defer svc.close()
-	}
-
-	// ----- Map phase -----
-	mapOuts := make([]mapOutput, len(splits))
-	mapReports := make([]TaskReport, len(splits))
-	sched := newScheduler(c.Nodes(), splits)
-	ft.beginPhase(len(splits), sched, true)
-	stopSpec := make(chan struct{})
-	var specWG sync.WaitGroup
-	specWG.Add(1)
-	go func() { defer specWG.Done(); ft.speculate(stopSpec) }()
-	var wg sync.WaitGroup
-	for node := 0; node < c.Nodes(); node++ {
-		for slot := 0; slot < c.MapSlots(); slot++ {
-			wg.Add(1)
-			ft.addWorker()
-			go func(node, slot int) {
-				defer wg.Done()
-				for {
-					pa, src, ok := ft.next(node)
-					if !ok {
-						return
-					}
-					if src == takeStolen {
-						tr.Instant(trace.KindWorkSteal, trace.LaneScheduler, node, pa.task, int64(splits[pa.task].Hosts[0]))
-					}
-					plan := ft.inj.Plan(node, pa.task, pa.attempt, chaos.MapSites())
-					out, rep, created, err := runMapTask(c, job, pa.task, splits[pa.task], node, slot, pa.attempt, plan)
-					if err != nil {
-						ft.sweepDiskFiles(node, created)
-						ft.attemptFailed(pa, node, err)
-						continue
-					}
-					ft.commitMap(pa, node, out, rep, mapOuts, mapReports)
-				}
-			}(node, slot)
-		}
-	}
-	wg.Wait()
-	close(stopSpec)
-	specWG.Wait()
-	if err := ft.jobErr(); err != nil {
-		svc.close()
-		ft.sweepJobIntermediates(mapOuts, nil)
-		return nil, err
-	}
-	res.MapWall = time.Since(start)
-	svc.markMapDone()
-
-	// Recovery needs per-map-task attempt numbering to survive into the
-	// reduce phase, where lost outputs are re-run.
-	mapNext := make([]int, len(splits))
-	for i := range ft.tasks {
-		mapNext[i] = ft.tasks[i].nextAttempt
-	}
-
-	// Reduce attempts see the pipelined shuffle through shuffleEnv; the
-	// resnapshot closure lets an attempt that catches a source node death
-	// mid-fetch run lost-output recovery in place and refetch.
-	var sh *shuffleEnv
-	if svc != nil {
-		sh = &shuffleEnv{
-			svc:     svc,
+		ft.shuffle = newShuffleService(c, job, ft.tm)
+		defer ft.shuffle.close()
+		ft.env = &shuffleEnv{
+			svc:     ft.shuffle,
 			backoff: job.RetryBackoff,
 			resnapshot: func() []mapOutput {
-				ft.recoverLostMapOuts(splits, mapOuts, mapReports, mapNext)
-				return ft.snapshotMapOuts(mapOuts)
+				ft.recoverLostMapOuts()
+				return ft.snapshotMapOuts()
 			},
 		}
 	}
 
-	// ----- Reduce phase -----
-	reduceStart := time.Now()
-	outputs := make([]string, job.NumReducers)
-	reduceReports := make([]TaskReport, job.NumReducers)
-	ft.beginPhase(job.NumReducers, nil, false)
-	ft.enqueueBase(job.NumReducers)
-	stopSpec = make(chan struct{})
-	specWG.Add(1)
-	go func() { defer specWG.Done(); ft.speculate(stopSpec) }()
-	var rwg sync.WaitGroup
-	for node := 0; node < c.Nodes(); node++ {
-		for slot := 0; slot < c.ReduceSlots(); slot++ {
-			rwg.Add(1)
-			ft.addWorker()
-			go func(node, slot int) {
-				defer rwg.Done()
-				for {
-					pa, _, ok := ft.next(node)
-					if !ok {
-						return
-					}
-					queueWait := time.Since(pa.enqueued)
-					job.Trace.Complete(trace.KindWaitQueue, trace.LaneReduce, node, pa.task, slot, pa.enqueued, queueWait)
-					job.Hists.QueueWait.Record(int64(queueWait))
-					plan := ft.inj.Plan(node, pa.task, pa.attempt, chaos.ReduceSites())
-					snap := ft.snapshotMapOuts(mapOuts)
-					outName, won, created, rep, err := runReduceTask(c, job, pa.task, node, slot, pa.attempt, plan, sh, snap)
-					rep.QueueWait = queueWait
-					if err != nil {
-						ft.sweepDFSFiles(created)
-						ft.recoverLostMapOuts(splits, mapOuts, mapReports, mapNext)
-						ft.attemptFailed(pa, node, err)
-						continue
-					}
-					if !won {
-						// A rival attempt committed first: discard.
-						ft.sweepDFSFiles(created)
-						ft.noteLoss(pa)
-						continue
-					}
-					ft.commitReduce(pa, outName, rep, outputs, reduceReports)
-					svc.release(pa.task)
-				}
-			}(node, slot)
-		}
+	if err := ft.runPhase(len(splits), newScheduler(c.Nodes(), splits, ft.tm), c.MapSlots(), ft.mapAttempt); err != nil {
+		return nil, err
 	}
-	rwg.Wait()
-	close(stopSpec)
-	specWG.Wait()
-	if err := ft.jobErr(); err != nil {
-		svc.close()
-		ft.sweepJobIntermediates(mapOuts, outputs)
+	res.MapWall = time.Since(start)
+	ft.shuffle.markMapDone()
+	// Recovery re-runs lost map outputs during the reduce phase and
+	// numbers its attempts after the map phase's.
+	ft.mapTasks = ft.tasks
+
+	reduceStart := time.Now()
+	if err := ft.runPhase(job.NumReducers, nil, c.ReduceSlots(), ft.reduceAttempt); err != nil {
 		return nil, err
 	}
 	res.ReduceWall = time.Since(reduceStart)
 	res.Wall = time.Since(start)
-	res.Outputs = outputs
-	svc.close() // flush staging before counter reads and disk cleanup
+	res.Outputs = ft.outputs
+	ft.shuffle.close() // flush staging before counter reads and disk cleanup
 
 	// Committed map outputs are no longer needed. Removal is best-effort
-	// cleanup: failures are counted on the job aggregate, not fatal. Dead
-	// nodes' outputs are unreachable and skipped.
-	for _, mo := range mapOuts {
-		if c.NodeDead(mo.node) {
-			continue
-		}
-		if err := c.Disks[mo.node].Remove(mo.index.Name); err != nil {
-			ft.mu.Lock()
-			ft.cleanupErrs++
-			ft.mu.Unlock()
-		}
-	}
+	// cleanup: failures are counted, not fatal.
+	ft.sweepJobIntermediates(nil)
 
-	res.Tasks = append(append([]TaskReport(nil), mapReports...), reduceReports...)
+	res.Tasks = append(append([]TaskReport(nil), ft.mapReports...), ft.reduceReports...)
 	for _, t := range res.Tasks {
 		res.Agg.Merge(t.Metrics)
 	}
-	if res.Agg.Counters == nil {
-		res.Agg.Counters = make(map[string]int64)
-	}
-	if svc != nil {
-		res.Agg.Merge(svc.snapshot())
-		ctr := res.Agg.Counters
-		res.ShuffleEarlySegments = int(ctr[metrics.CtrShuffleEarlySegments])
-		res.ShuffleStagedSpills = int(ctr[metrics.CtrShuffleStagedSpills])
-		res.ShuffleFetchRetries = int(ctr[metrics.CtrShuffleFetchRetries])
-		res.ShuffleStagingPeak = ctr[metrics.CtrShuffleStagingPeak]
-		res.ShuffleBatchFetches = int(ctr[metrics.CtrShuffleBatchFetches])
-		res.ShuffleBatchSegments = int(ctr[metrics.CtrShuffleBatchSegments])
-		res.ShuffleGovThrottles = int(ctr[metrics.CtrShuffleGovThrottles])
-	}
-	res.LocalMapTasks, res.StolenMapTasks = sched.placement()
-	res.Agg.Counters[metrics.CtrLocalMapTasks] += int64(res.LocalMapTasks)
-	res.Agg.Counters[metrics.CtrStolenMapTasks] += int64(res.StolenMapTasks)
+	res.Agg.Merge(ft.tm.Snapshot())
 	ft.fillResult(res)
 	return res, nil
 }
@@ -287,6 +158,20 @@ const (
 	attemptSpeculative                    // backup attempt for a straggler
 	attemptRecovery                       // re-run of a committed map task after node death
 )
+
+// counter names the counter an attempt of this kind is counted under on
+// top of its phase's attempt counter; base attempts have none.
+func (k attemptKind) counter() string {
+	switch k {
+	case attemptRetry:
+		return metrics.CtrTaskRetries
+	case attemptSpeculative:
+		return metrics.CtrSpeculativeTasks
+	case attemptRecovery:
+		return metrics.CtrRecoveredMapTasks
+	}
+	return ""
+}
 
 // pendingAttempt is one schedulable unit of work: a (task, attempt) pair.
 type pendingAttempt struct {
@@ -325,19 +210,35 @@ type ftRun struct {
 	// carries one, the cluster injector otherwise. Task-site plans come
 	// from here; node-death observation stays on c.Chaos (node death is
 	// cluster-wide regardless of which job's injector is in play).
-	inj  *chaos.Injector
+	inj *chaos.Injector
+	// tm is the single source of every job-level count: attempts,
+	// retries, speculation, recovery, sweeps, cleanup failures,
+	// placement, and the shuffle service's counters. Every Inc reaches
+	// the live aggregate as it happens; the runner merges the snapshot
+	// into Result.Agg once, and fillResult reads Result's named counter
+	// fields back out of Agg.
+	tm   *metrics.TaskMetrics
 	mu   sync.Mutex
 	cond *sync.Cond
 
 	aborted bool
 	err     error
 
+	// Job-wide task tables. Map entries are rewritten by lost-output
+	// recovery during the reduce phase, so reads go through
+	// snapshotMapOuts.
+	splits        []Split
+	mapOuts       []mapOutput
+	mapReports    []TaskReport
+	outputs       []string
+	reduceReports []TaskReport
+	mapTasks      []ftTask // the map phase's task state, kept for recovery's attempt numbering
+
 	// Per-phase state, reset by beginPhase.
 	gen       int // phase generation; stale backoff timers check it
 	total     int
 	done      int
 	phaseDone bool
-	mapPhase  bool
 	tasks     []ftTask
 	queue     []pendingAttempt
 	inner     *scheduler // locality scheduler (map phase only)
@@ -349,68 +250,92 @@ type ftRun struct {
 	activeWorkers int
 	recovering    bool // a lost-map-output recovery is in flight (singleflight)
 
-	// shuffle is the pipelined-shuffle service (nil under SerialShuffle):
-	// map commits are offered to its copier pools, and the reduce-phase
-	// queue prefers handing a partition to its staging node.
+	// shuffle is the pipelined-shuffle service and env its reduce-attempt
+	// face (both nil under SerialShuffle): map commits are offered to its
+	// copier pools, and the reduce-phase queue prefers handing a
+	// partition to its staging node.
 	shuffle *shuffleService
-
-	// Counters (surfaced on Result).
-	mapAttempts    int
-	reduceAttempts int
-	retries        int
-	spec           int
-	specWins       int
-	recovered      int
-	failed         int
-	swept          int
-	cleanupErrs    int
+	env     *shuffleEnv
 }
 
-func newFTRun(c *cluster.Cluster, job *Job) *ftRun {
+func newFTRun(c *cluster.Cluster, job *Job, inj *chaos.Injector, splits []Split) *ftRun {
 	ft := &ftRun{
-		c:            c,
-		job:          job,
-		nodeFailures: make([]int, c.Nodes()),
-		blacklisted:  make([]bool, c.Nodes()),
-		deadKnown:    make([]bool, c.Nodes()),
+		c:             c,
+		job:           job,
+		inj:           inj,
+		tm:            metrics.NewTaskMetrics(),
+		splits:        splits,
+		mapOuts:       make([]mapOutput, len(splits)),
+		mapReports:    make([]TaskReport, len(splits)),
+		outputs:       make([]string, job.NumReducers),
+		reduceReports: make([]TaskReport, job.NumReducers),
+		nodeFailures:  make([]int, c.Nodes()),
+		blacklisted:   make([]bool, c.Nodes()),
+		deadKnown:     make([]bool, c.Nodes()),
 	}
 	ft.cond = sync.NewCond(&ft.mu)
 	return ft
 }
 
-// beginPhase resets per-phase scheduling state. Node state (deaths,
+// runPhase is the one phase driver. It runs total tasks to completion —
+// handed out by the locality scheduler inner in the map phase, queued in
+// task order when inner is nil — on a worker per (node, slot), each
+// passing its attempts to run, with the speculation monitor alongside.
+// If the job failed, it closes the shuffle service and sweeps what the
+// job had committed before returning the job's error.
+func (ft *ftRun) runPhase(total int, inner *scheduler, slots int, run func(pa pendingAttempt, src takeSource, node, slot int)) error {
+	ft.beginPhase(total, inner, ft.c.Nodes()*slots)
+	stop := make(chan struct{})
+	var specWG, wg sync.WaitGroup
+	specWG.Add(1)
+	go func() { defer specWG.Done(); ft.speculate(stop) }()
+	for node := 0; node < ft.c.Nodes(); node++ {
+		for slot := 0; slot < slots; slot++ {
+			wg.Add(1)
+			go func(node, slot int) {
+				defer wg.Done()
+				for {
+					pa, src, ok := ft.next(node)
+					if !ok {
+						return
+					}
+					run(pa, src, node, slot)
+				}
+			}(node, slot)
+		}
+	}
+	wg.Wait()
+	close(stop)
+	specWG.Wait()
+	if err := ft.jobErr(); err != nil {
+		ft.shuffle.close()
+		ft.sweepJobIntermediates(ft.outputs)
+		return err
+	}
+	return nil
+}
+
+// beginPhase resets per-phase scheduling state; without a locality
+// scheduler it queues every task's first attempt. Node state (deaths,
 // blacklist) carries across phases: a dead node stays dead.
-func (ft *ftRun) beginPhase(total int, inner *scheduler, mapPhase bool) {
+func (ft *ftRun) beginPhase(total int, inner *scheduler, workers int) {
+	now := time.Now()
 	ft.mu.Lock()
+	defer ft.mu.Unlock()
 	ft.gen++
 	ft.total = total
 	ft.done = 0
 	ft.phaseDone = total == 0
-	ft.mapPhase = mapPhase
 	ft.tasks = make([]ftTask, total)
 	ft.queue = nil
 	ft.inner = inner
-	ft.activeWorkers = 0
-	ft.mu.Unlock()
-}
-
-// enqueueBase queues every task's first attempt (reduce phase, which has
-// no locality scheduler).
-func (ft *ftRun) enqueueBase(n int) {
-	now := time.Now()
-	ft.mu.Lock()
-	for t := 0; t < n; t++ {
-		ft.queue = append(ft.queue, pendingAttempt{task: t, attempt: 0, kind: attemptBase, enqueued: now})
-		ft.tasks[t].nextAttempt = 1
+	ft.activeWorkers = workers
+	if inner == nil {
+		for t := range ft.tasks {
+			ft.queue = append(ft.queue, pendingAttempt{task: t, attempt: 0, kind: attemptBase, enqueued: now})
+			ft.tasks[t].nextAttempt = 1
+		}
 	}
-	ft.cond.Broadcast()
-	ft.mu.Unlock()
-}
-
-func (ft *ftRun) addWorker() {
-	ft.mu.Lock()
-	ft.activeWorkers++
-	ft.mu.Unlock()
 }
 
 func (ft *ftRun) jobErr() error {
@@ -455,7 +380,7 @@ func (ft *ftRun) next(node int) (pendingAttempt, takeSource, bool) {
 			// Staging affinity: prefer a reduce attempt whose partition is
 			// staged on this node, so the staged hand-off is a local read.
 			idx := 0
-			if !ft.mapPhase && ft.shuffle != nil {
+			if ft.inner == nil && ft.shuffle != nil {
 				for i, pa := range ft.queue {
 					if !ft.tasks[pa.task].committed && ft.shuffle.home(pa.task) == node {
 						idx = i
@@ -475,25 +400,33 @@ func (ft *ftRun) next(node int) (pendingAttempt, takeSource, bool) {
 	}
 }
 
-// noteStartLocked records an attempt start: counters are incremented here,
-// at attempt start, so every started attempt is counted exactly once
-// under its kind.
+// noteStartLocked registers a phase attempt with the speculation monitor
+// and counts it.
 func (ft *ftRun) noteStartLocked(pa pendingAttempt, node int) {
 	ts := &ft.tasks[pa.task]
 	ts.running = append(ts.running, runningInfo{attempt: pa.attempt, node: node, start: time.Now()})
-	if ft.mapPhase {
-		ft.mapAttempts++
+	ft.countStart(ft.inner != nil, pa.kind)
+}
+
+// countStart is the one place attempts are counted, at attempt start, so
+// every started attempt — phase or recovery — is counted exactly once
+// under its kind.
+func (ft *ftRun) countStart(mapTask bool, kind attemptKind) {
+	if mapTask {
+		ft.tm.Inc(metrics.CtrMapAttempts, 1)
 	} else {
-		ft.reduceAttempts++
+		ft.tm.Inc(metrics.CtrReduceAttempts, 1)
 	}
-	switch pa.kind {
-	case attemptRetry:
-		ft.retries++
-	case attemptSpeculative:
-		ft.spec++
-	case attemptRecovery:
-		ft.recovered++
+	if name := kind.counter(); name != "" {
+		ft.tm.Inc(name, 1)
 	}
+}
+
+// countFailure is the one place failed attempts are counted. It first
+// folds in any node death the failure may have been caused by.
+func (ft *ftRun) countFailure() {
+	ft.refreshDeadNodes()
+	ft.tm.Inc(metrics.CtrFailedAttempts, 1)
 }
 
 func (ft *ftRun) noteEndLocked(task, attempt int) {
@@ -549,16 +482,15 @@ func (ft *ftRun) refreshDeadNodes() {
 	ft.mu.Unlock()
 }
 
-// attemptFailed handles an attempt error: requeue with jittered backoff,
-// blacklist the node if it keeps failing attempts, or fail the job once
-// the task exhausts MaxAttempts. A failure after a rival committed is
-// moot — the task is done regardless.
+// attemptFailed handles a phase attempt's error: requeue with jittered
+// backoff, blacklist the node if it keeps failing attempts, or fail the
+// job once the task exhausts MaxAttempts. A failure after a rival
+// committed is moot — the task is done regardless.
 func (ft *ftRun) attemptFailed(pa pendingAttempt, node int, err error) {
-	ft.refreshDeadNodes()
+	ft.countFailure()
 	ft.mu.Lock()
 	defer ft.mu.Unlock()
 	ft.noteEndLocked(pa.task, pa.attempt)
-	ft.failed++
 	ts := &ft.tasks[pa.task]
 	if ts.committed || ft.aborted {
 		return
@@ -590,11 +522,69 @@ func (ft *ftRun) attemptFailed(pa pendingAttempt, node int, err error) {
 	})
 }
 
-// commitMap publishes a finished map attempt's output at the canonical
-// name. The disk rename arbitrates same-node duplicates (fail-on-exist);
-// the committing latch serializes cross-node duplicates, whose attempt
-// outputs live on different disks where both renames would succeed.
-func (ft *ftRun) commitMap(pa pendingAttempt, node int, out mapOutput, rep TaskReport, mapOuts []mapOutput, mapReports []TaskReport) {
+// commitLocked records pa as its task's winning attempt: the commit
+// accounting both phases share.
+func (ft *ftRun) commitLocked(pa pendingAttempt, wall time.Duration) {
+	ts := &ft.tasks[pa.task]
+	ts.committed = true
+	ts.winDur = wall
+	if pa.kind == attemptSpeculative {
+		ft.tm.Inc(metrics.CtrSpeculativeWins, 1)
+	}
+	ft.done++
+	ft.phaseDone = ft.done == ft.total
+	ft.cond.Broadcast()
+}
+
+// mapAttempt is the map phase's worker body: run the attempt, then commit
+// it or hand its failure to the retry machinery.
+func (ft *ftRun) mapAttempt(pa pendingAttempt, src takeSource, node, slot int) {
+	if src == takeStolen {
+		ft.job.Trace.Instant(trace.KindWorkSteal, trace.LaneScheduler, node, pa.task, int64(ft.splits[pa.task].Hosts[0]))
+	}
+	out, rep, err := ft.runMap(pa, node, slot)
+	if err != nil {
+		ft.attemptFailed(pa, node, err)
+		return
+	}
+	ft.commitMap(pa, node, out, rep)
+}
+
+// runMap runs one map attempt on node, sweeping a failed attempt's
+// files. The map phase and lost-output recovery both run attempts here.
+func (ft *ftRun) runMap(pa pendingAttempt, node, slot int) (mapOutput, TaskReport, error) {
+	plan := ft.inj.Plan(node, pa.task, pa.attempt, chaos.MapSites())
+	out, rep, created, err := runMapTask(ft.c, ft.job, pa.task, ft.splits[pa.task], node, slot, pa.attempt, plan)
+	if err != nil {
+		ft.sweepAttempt(ft.c.Disks[node], created)
+	}
+	return out, rep, err
+}
+
+// publishMap renames a finished map attempt's output to the canonical
+// name, records it in the map-output table and offers it to the shuffle.
+// A failed rename sweeps the attempt's output. The map phase and
+// lost-output recovery both commit here.
+func (ft *ftRun) publishMap(pa pendingAttempt, node int, out mapOutput, rep TaskReport) error {
+	canon := canonicalMapOutName(ft.job.filePrefix, pa.task)
+	if err := ft.c.Disks[node].Rename(out.index.Name, canon); err != nil {
+		ft.sweepAttempt(ft.c.Disks[node], []string{out.index.Name})
+		return err
+	}
+	out.index.Name = canon
+	ft.mu.Lock()
+	ft.mapOuts[pa.task] = out
+	ft.mapReports[pa.task] = rep
+	ft.mu.Unlock()
+	ft.shuffle.offer(pa.task, out)
+	return nil
+}
+
+// commitMap commits a finished map-phase attempt. The disk rename
+// arbitrates same-node duplicates (fail-on-exist); the committing latch
+// serializes cross-node duplicates, whose attempt outputs live on
+// different disks where both renames would succeed.
+func (ft *ftRun) commitMap(pa pendingAttempt, node int, out mapOutput, rep TaskReport) {
 	ft.mu.Lock()
 	ft.noteEndLocked(pa.task, pa.attempt)
 	ts := &ft.tasks[pa.task]
@@ -603,105 +593,86 @@ func (ft *ftRun) commitMap(pa pendingAttempt, node int, out mapOutput, rep TaskR
 	}
 	if ts.committed || ft.aborted {
 		ft.mu.Unlock()
-		ft.sweepDiskFiles(node, []string{out.index.Name})
+		ft.sweepAttempt(ft.c.Disks[node], []string{out.index.Name})
 		return
 	}
 	ts.committing = true
 	ft.mu.Unlock()
 
-	canon := canonicalMapOutName(ft.job.filePrefix, pa.task)
-	rerr := ft.c.Disks[node].Rename(out.index.Name, canon)
+	err := ft.publishMap(pa, node, out, rep)
 
 	ft.mu.Lock()
 	ts.committing = false
-	if rerr != nil {
+	if err != nil {
 		ft.cond.Broadcast()
 		ft.mu.Unlock()
-		ft.sweepDiskFiles(node, []string{out.index.Name})
-		ft.attemptFailed(pa, node, rerr)
+		ft.attemptFailed(pa, node, err)
 		return
 	}
-	out.index.Name = canon
-	mapOuts[pa.task] = out
-	mapReports[pa.task] = rep
-	ts.committed = true
-	ts.winDur = rep.Wall
-	if pa.kind == attemptSpeculative {
-		ft.specWins++
-	}
-	ft.done++
+	ft.commitLocked(pa, rep.Wall)
 	done, total := ft.done, ft.total
-	if ft.done == ft.total {
-		ft.phaseDone = true
-	}
-	ft.cond.Broadcast()
 	ft.mu.Unlock()
 	ft.shuffle.noteMapProgress(done, total)
-	ft.shuffle.offer(pa.task, out)
 }
 
-// commitReduce records a reduce attempt that won the DFS rename race.
-func (ft *ftRun) commitReduce(pa pendingAttempt, outName string, rep TaskReport, outputs []string, reduceReports []TaskReport) {
-	ft.mu.Lock()
-	defer ft.mu.Unlock()
-	ft.noteEndLocked(pa.task, pa.attempt)
-	ts := &ft.tasks[pa.task]
-	ts.committed = true
-	ts.winDur = rep.Wall
-	outputs[pa.task] = outName
-	reduceReports[pa.task] = rep
-	if pa.kind == attemptSpeculative {
-		ft.specWins++
+// reduceAttempt is the reduce phase's worker body. A reduce attempt
+// commits inside runReduceTask (the DFS rename picks the winner); the
+// runner records the win, or sweeps a failed or losing attempt's temp
+// output.
+func (ft *ftRun) reduceAttempt(pa pendingAttempt, _ takeSource, node, slot int) {
+	queueWait := time.Since(pa.enqueued)
+	ft.job.Trace.Complete(trace.KindWaitQueue, trace.LaneReduce, node, pa.task, slot, pa.enqueued, queueWait)
+	ft.job.Hists.QueueWait.Record(int64(queueWait))
+	plan := ft.inj.Plan(node, pa.task, pa.attempt, chaos.ReduceSites())
+	outName, won, created, rep, err := runReduceTask(ft.c, ft.job, pa.task, node, slot, pa.attempt, plan, ft.env, ft.snapshotMapOuts())
+	rep.QueueWait = queueWait
+	if err != nil {
+		ft.sweepAttempt(ft.c.FS, created)
+		ft.recoverLostMapOuts()
+		ft.attemptFailed(pa, node, err)
+		return
 	}
-	ft.done++
-	if ft.done == ft.total {
-		ft.phaseDone = true
+	if !won {
+		// A rival attempt committed first: discard.
+		ft.sweepAttempt(ft.c.FS, created)
+		ft.mu.Lock()
+		ft.noteEndLocked(pa.task, pa.attempt)
+		ft.mu.Unlock()
+		return
 	}
-	ft.cond.Broadcast()
-}
-
-// noteLoss records a duplicate attempt that lost the commit race.
-func (ft *ftRun) noteLoss(pa pendingAttempt) {
 	ft.mu.Lock()
 	ft.noteEndLocked(pa.task, pa.attempt)
+	ft.outputs[pa.task] = outName
+	ft.reduceReports[pa.task] = rep
+	ft.commitLocked(pa, rep.Wall)
 	ft.mu.Unlock()
+	ft.shuffle.release(pa.task)
 }
 
-// sweepDiskFiles removes a failed or losing attempt's surviving files
-// from a node disk. Dead-node removals are skipped silently (the disk is
-// gone with its node); other failures count as cleanup errors.
-func (ft *ftRun) sweepDiskFiles(node int, files []string) {
+// remover is what a sweep removes files from: a node disk or the DFS.
+type remover interface {
+	Remove(name string) error
+}
+
+// remove deletes name from fs, best-effort: a dead node's removal is
+// skipped silently (the disk is gone with its node); other failures
+// count as cleanup errors.
+func (ft *ftRun) remove(fs remover, name string) {
+	if err := fs.Remove(name); err != nil && !errors.Is(err, chaos.ErrNodeDead) {
+		ft.tm.Inc(metrics.CtrCleanupErrors, 1)
+	}
+}
+
+// sweepAttempt removes a failed or losing attempt's surviving files,
+// from a node disk (map attempts) or the DFS (reduce attempts).
+func (ft *ftRun) sweepAttempt(fs remover, files []string) {
 	if len(files) == 0 {
 		return
 	}
-	errs := 0
+	ft.tm.Inc(metrics.CtrSweptAttemptDirs, 1)
 	for _, name := range files {
-		if err := ft.c.Disks[node].Remove(name); err != nil && !errors.Is(err, chaos.ErrNodeDead) {
-			errs++
-		}
+		ft.remove(fs, name)
 	}
-	ft.mu.Lock()
-	ft.swept++
-	ft.cleanupErrs += errs
-	ft.mu.Unlock()
-}
-
-// sweepDFSFiles removes a failed or losing reduce attempt's temp output
-// from the DFS.
-func (ft *ftRun) sweepDFSFiles(files []string) {
-	if len(files) == 0 {
-		return
-	}
-	errs := 0
-	for _, name := range files {
-		if err := ft.c.FS.Remove(name); err != nil && !errors.Is(err, chaos.ErrNodeDead) {
-			errs++
-		}
-	}
-	ft.mu.Lock()
-	ft.swept++
-	ft.cleanupErrs += errs
-	ft.mu.Unlock()
 }
 
 // errJobCanceled is what a task attempt fails with when it observes the
@@ -709,42 +680,33 @@ func (ft *ftRun) sweepDFSFiles(files []string) {
 // attemptFailed absorbs these without scheduling retries.
 var errJobCanceled = errors.New("mr: attempt canceled")
 
-// sweepJobIntermediates removes what a failed or canceled job left
-// committed behind: canonical map outputs on node disks and committed
-// reduce outputs on the DFS. Attempt-scoped temp files are already swept
-// by the attempt machinery, and staged overflow segments by the shuffle
-// service's close, so after this sweep a dead job leaves nothing on the
-// cluster. Best-effort: dead nodes are skipped, live-node failures count
-// as cleanup errors. Called only after all workers have joined.
-func (ft *ftRun) sweepJobIntermediates(mapOuts []mapOutput, outputs []string) {
-	errs := 0
-	for _, mo := range mapOuts {
-		if mo.index.Name == "" || ft.c.NodeDead(mo.node) {
-			continue
-		}
-		if err := ft.c.Disks[mo.node].Remove(mo.index.Name); err != nil && !errors.Is(err, chaos.ErrNodeDead) {
-			errs++
+// sweepJobIntermediates removes the canonical map outputs on node disks
+// and the given committed reduce outputs on the DFS: after a successful
+// job, the map outputs nobody needs any more; after a failed or canceled
+// one, everything it committed. Attempt-scoped temp files are already
+// swept by the attempt machinery, and staged overflow segments by the
+// shuffle service's close, so after the failure sweep a dead job leaves
+// nothing on the cluster. Dead nodes are skipped. Called only after all
+// workers have joined.
+func (ft *ftRun) sweepJobIntermediates(outputs []string) {
+	for _, mo := range ft.mapOuts {
+		if mo.index.Name != "" && !ft.c.NodeDead(mo.node) {
+			ft.remove(ft.c.Disks[mo.node], mo.index.Name)
 		}
 	}
 	for _, name := range outputs {
-		if name == "" {
-			continue
-		}
-		if err := ft.c.FS.Remove(name); err != nil && !errors.Is(err, chaos.ErrNodeDead) {
-			errs++
+		if name != "" {
+			ft.remove(ft.c.FS, name)
 		}
 	}
-	ft.mu.Lock()
-	ft.cleanupErrs += errs
-	ft.mu.Unlock()
 }
 
 // snapshotMapOuts copies the map-output table under the lock, so a reduce
 // attempt's fetch set is consistent even while recovery rewrites entries.
-func (ft *ftRun) snapshotMapOuts(mapOuts []mapOutput) []mapOutput {
+func (ft *ftRun) snapshotMapOuts() []mapOutput {
 	ft.mu.Lock()
 	defer ft.mu.Unlock()
-	return append([]mapOutput(nil), mapOuts...)
+	return append([]mapOutput(nil), ft.mapOuts...)
 }
 
 // speculate is the per-phase straggler monitor: once a quorum of tasks
@@ -807,12 +769,12 @@ func (ft *ftRun) speculate(stop <-chan struct{}) {
 // re-execution. Called from a failing reduce worker's goroutine;
 // singleflight, with rival workers waiting so their retries see the
 // recovered outputs.
-func (ft *ftRun) recoverLostMapOuts(splits []Split, mapOuts []mapOutput, mapReports []TaskReport, mapNext []int) {
+func (ft *ftRun) recoverLostMapOuts() {
 	ft.refreshDeadNodes()
 	lostLocked := func() []int {
 		var lost []int
-		for t := range mapOuts {
-			if ft.deadKnown[mapOuts[t].node] {
+		for t := range ft.mapOuts {
+			if ft.deadKnown[ft.mapOuts[t].node] {
 				lost = append(lost, t)
 			}
 		}
@@ -838,7 +800,7 @@ func (ft *ftRun) recoverLostMapOuts(splits []Split, mapOuts []mapOutput, mapRepo
 
 	var ferr error
 	for _, t := range lost {
-		if err := ft.rerunMapTask(t, splits, mapOuts, mapReports, mapNext); err != nil {
+		if err := ft.rerunMapTask(t); err != nil {
 			ferr = err
 			break
 		}
@@ -853,9 +815,13 @@ func (ft *ftRun) recoverLostMapOuts(splits []Split, mapOuts []mapOutput, mapRepo
 }
 
 // rerunMapTask re-executes one lost map task on a live node, retrying
-// across nodes up to MaxAttempts. The old canonical output name is on a
-// dead disk, so the fresh commit rename cannot collide.
-func (ft *ftRun) rerunMapTask(t int, splits []Split, mapOuts []mapOutput, mapReports []TaskReport, mapNext []int) error {
+// across nodes up to MaxAttempts, through the map phase's attempt,
+// commit and accounting helpers. The old canonical output name is on a
+// dead disk, so the fresh commit rename cannot collide; publishing
+// re-offers the output to the shuffle, so staging can cover partitions
+// that had not fetched the lost copy (the per-partition dedup makes this
+// a no-op where staging already holds the byte-identical old segment).
+func (ft *ftRun) rerunMapTask(t int) error {
 	kind := attemptRecovery
 	for tries := 0; tries < ft.job.MaxAttempts; tries++ {
 		node, ok := ft.pickLiveNode(t + tries)
@@ -863,46 +829,19 @@ func (ft *ftRun) rerunMapTask(t int, splits []Split, mapOuts []mapOutput, mapRep
 			return fmt.Errorf("mr: map task %d output lost to node death and no live node remains to re-run it", t)
 		}
 		ft.mu.Lock()
-		attemptNo := mapNext[t]
-		mapNext[t]++
-		ft.mapAttempts++
-		if kind == attemptRecovery {
-			ft.recovered++
-		} else {
-			ft.retries++
-		}
+		pa := pendingAttempt{task: t, attempt: ft.mapTasks[t].nextAttempt, kind: kind}
+		ft.mapTasks[t].nextAttempt++
 		ft.mu.Unlock()
+		ft.countStart(true, kind)
 		kind = attemptRetry
-		plan := ft.inj.Plan(node, t, attemptNo, chaos.MapSites())
-		out, rep, created, err := runMapTask(ft.c, ft.job, t, splits[t], node, 0, attemptNo, plan)
-		if err != nil {
-			ft.refreshDeadNodes()
-			ft.sweepDiskFiles(node, created)
-			ft.mu.Lock()
-			ft.failed++
-			ft.mu.Unlock()
-			continue
+		out, rep, err := ft.runMap(pa, node, 0)
+		if err == nil {
+			err = ft.publishMap(pa, node, out, rep)
 		}
-		canon := canonicalMapOutName(ft.job.filePrefix, t)
-		if rerr := ft.c.Disks[node].Rename(out.index.Name, canon); rerr != nil {
-			ft.refreshDeadNodes()
-			ft.sweepDiskFiles(node, []string{out.index.Name})
-			ft.mu.Lock()
-			ft.failed++
-			ft.mu.Unlock()
-			continue
+		if err == nil {
+			return nil
 		}
-		out.index.Name = canon
-		ft.mu.Lock()
-		mapOuts[t] = out
-		mapReports[t] = rep
-		ft.mu.Unlock()
-		// The recovered output is a fresh commit: re-offer it so staging
-		// can cover partitions that had not fetched the lost copy. (The
-		// per-partition dedup makes this a no-op where staging already
-		// holds the — byte-identical — old segment.)
-		ft.shuffle.offer(t, out)
-		return nil
+		ft.countFailure()
 	}
 	return fmt.Errorf("mr: map task %d re-run failed %d attempts after output loss", t, ft.job.MaxAttempts)
 }
@@ -922,44 +861,47 @@ func (ft *ftRun) pickLiveNode(seed int) (int, bool) {
 	return 0, false
 }
 
-// fillResult copies the run's fault-tolerance accounting onto the Result.
+// counterFields maps each named int counter field of a Result to the
+// Agg.Counters entry it is a view of.
+func (r *Result) counterFields() map[string]*int {
+	return map[string]*int{
+		metrics.CtrLocalMapTasks:        &r.LocalMapTasks,
+		metrics.CtrStolenMapTasks:       &r.StolenMapTasks,
+		metrics.CtrMapAttempts:          &r.MapAttempts,
+		metrics.CtrReduceAttempts:       &r.ReduceAttempts,
+		metrics.CtrTaskRetries:          &r.TaskRetries,
+		metrics.CtrSpeculativeTasks:     &r.SpeculativeTasks,
+		metrics.CtrSpeculativeWins:      &r.SpeculativeWins,
+		metrics.CtrRecoveredMapTasks:    &r.RecoveredMapTasks,
+		metrics.CtrFailedAttempts:       &r.FailedAttempts,
+		metrics.CtrSweptAttemptDirs:     &r.SweptAttempts,
+		metrics.CtrCleanupErrors:        &r.CleanupErrors,
+		metrics.CtrShuffleEarlySegments: &r.ShuffleEarlySegments,
+		metrics.CtrShuffleStagedSpills:  &r.ShuffleStagedSpills,
+		metrics.CtrShuffleFetchRetries:  &r.ShuffleFetchRetries,
+		metrics.CtrShuffleBatchFetches:  &r.ShuffleBatchFetches,
+		metrics.CtrShuffleBatchSegments: &r.ShuffleBatchSegments,
+		metrics.CtrShuffleGovThrottles:  &r.ShuffleGovThrottles,
+	}
+}
+
+// fillResult fills Result's named counter fields from Agg.Counters, their
+// one source, and lists the dead and blacklisted nodes.
 func (ft *ftRun) fillResult(res *Result) {
-	ft.mu.Lock()
-	defer ft.mu.Unlock()
-	res.MapAttempts = ft.mapAttempts
-	res.ReduceAttempts = ft.reduceAttempts
-	res.TaskRetries = ft.retries
-	res.SpeculativeTasks = ft.spec
-	res.SpeculativeWins = ft.specWins
-	res.RecoveredMapTasks = ft.recovered
-	res.FailedAttempts = ft.failed
-	res.SweptAttempts = ft.swept
-	res.CleanupErrors = ft.cleanupErrs
+	ctr := res.Agg.Counters
+	for name, field := range res.counterFields() {
+		*field = int(ctr[name])
+	}
+	res.ShuffleStagingPeak = ctr[metrics.CtrShuffleStagingPeak]
 	if ft.c.Chaos != nil {
 		res.DeadNodes = ft.c.Chaos.DeadNodes()
 	}
+	ft.mu.Lock()
+	defer ft.mu.Unlock()
 	for n, b := range ft.blacklisted {
 		if b {
 			res.BlacklistedNodes = append(res.BlacklistedNodes, n)
 		}
-	}
-	ctr := res.Agg.Counters
-	ctr[metrics.CtrMapAttempts] += int64(ft.mapAttempts)
-	ctr[metrics.CtrReduceAttempts] += int64(ft.reduceAttempts)
-	for k, v := range map[string]int{
-		metrics.CtrTaskRetries:       ft.retries,
-		metrics.CtrSpeculativeTasks:  ft.spec,
-		metrics.CtrSpeculativeWins:   ft.specWins,
-		metrics.CtrRecoveredMapTasks: ft.recovered,
-		metrics.CtrFailedAttempts:    ft.failed,
-		metrics.CtrSweptAttemptDirs:  ft.swept,
-	} {
-		if v > 0 {
-			ctr[k] += int64(v)
-		}
-	}
-	if ft.cleanupErrs > 0 {
-		ctr[metrics.CtrCleanupErrors] += int64(ft.cleanupErrs)
 	}
 }
 
@@ -974,18 +916,18 @@ const (
 	takeStolen
 )
 
-// scheduler hands out map tasks with locality preference and work stealing.
+// scheduler hands out map tasks with locality preference and work
+// stealing, counting data-local and stolen placements on tm.
 type scheduler struct {
 	mu      sync.Mutex
+	tm      *metrics.TaskMetrics
 	queues  [][]int // per-node pending task indexes
 	orphans []int   // tasks whose primary host is out of range
 	aborted bool
-	local   int // tasks taken from their own node's queue
-	stolen  int // tasks stolen from another node's queue
 }
 
-func newScheduler(nodes int, splits []Split) *scheduler {
-	s := &scheduler{queues: make([][]int, nodes)}
+func newScheduler(nodes int, splits []Split, tm *metrics.TaskMetrics) *scheduler {
+	s := &scheduler{tm: tm, queues: make([][]int, nodes)}
 	for i, sp := range splits {
 		host := -1
 		if len(sp.Hosts) > 0 && sp.Hosts[0] >= 0 && sp.Hosts[0] < nodes {
@@ -1002,7 +944,8 @@ func newScheduler(nodes int, splits []Split) *scheduler {
 
 // take pops a task for the given node: local first, then the orphan pool,
 // then stealing from the longest queue. It reports where the task came
-// from so placement quality (data-local vs stolen) is observable.
+// from, and counts data-local and stolen takes, so placement quality is
+// observable; orphans count toward neither.
 func (s *scheduler) take(node int) (int, takeSource, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1012,7 +955,7 @@ func (s *scheduler) take(node int) (int, takeSource, bool) {
 	if q := s.queues[node]; len(q) > 0 {
 		task := q[0]
 		s.queues[node] = q[1:]
-		s.local++
+		s.tm.Inc(metrics.CtrLocalMapTasks, 1)
 		return task, takeLocal, true
 	}
 	if len(s.orphans) > 0 {
@@ -1033,15 +976,8 @@ func (s *scheduler) take(node int) (int, takeSource, bool) {
 	q := s.queues[victim]
 	task := q[len(q)-1] // steal from the tail: the head stays local
 	s.queues[victim] = q[:len(q)-1]
-	s.stolen++
+	s.tm.Inc(metrics.CtrStolenMapTasks, 1)
 	return task, takeStolen, true
-}
-
-// placement returns how many handed-out tasks were data-local vs stolen.
-func (s *scheduler) placement() (local, stolen int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.local, s.stolen
 }
 
 func (s *scheduler) abort() {

@@ -168,10 +168,10 @@ type shuffleService struct {
 	copiers int
 	gov     *copierGovernor
 	buf     *stagingBuffer
-	// tm is the service's own metrics. Staging work belongs to the job,
-	// not to any single attempt — an attempt's report is discarded when it
-	// fails or loses a commit race, which would silently drop counts — so
-	// the runner merges this snapshot into the job aggregate exactly once.
+	// tm is the owning job's runner metrics. Staging work belongs to the
+	// job, not to any single attempt — an attempt's report is discarded
+	// when it fails or loses a commit race, which would silently drop
+	// counts — so the service counts on the runner's job-level source.
 	tm *metrics.TaskMetrics
 	// hists is the owning job's histogram set (per-job under a service,
 	// registry-backed for one-shot runs).
@@ -187,7 +187,7 @@ type shuffleService struct {
 	wg       sync.WaitGroup
 }
 
-func newShuffleService(c *cluster.Cluster, job *Job) *shuffleService {
+func newShuffleService(c *cluster.Cluster, job *Job, tm *metrics.TaskMetrics) *shuffleService {
 	parts := job.NumReducers
 	s := &shuffleService{
 		c:        c,
@@ -196,7 +196,7 @@ func newShuffleService(c *cluster.Cluster, job *Job) *shuffleService {
 		copiers:  job.ShuffleCopiers,
 		gov:      newCopierGovernor(1, job.ShuffleCopiers*parts, c.Net.InFlight),
 		buf:      newStagingBuffer(job.ShuffleBufferBytes),
-		tm:       metrics.NewTaskMetrics(),
+		tm:       tm,
 		hists:    job.Hists,
 		pend:     make([][]stageReq, parts),
 		staged:   make([]map[int]*stagedSeg, parts),
@@ -595,10 +595,4 @@ func (s *shuffleService) close() {
 		}
 	}
 	s.tm.Inc(metrics.CtrShuffleStagingPeak, s.buf.peakBytes())
-}
-
-// snapshot returns the service's accumulated counters for the one-time
-// merge into the job aggregate. Call only after close.
-func (s *shuffleService) snapshot() metrics.Snapshot {
-	return s.tm.Snapshot()
 }

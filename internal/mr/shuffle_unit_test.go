@@ -189,7 +189,7 @@ func waitStagedSegments(t *testing.T, svc *shuffleService, want int64) {
 func TestShuffleServiceStagesAndTakes(t *testing.T) {
 	c := newUnitCluster(t, nil)
 	outs := writeUnitMapOuts(t, c)
-	svc := newShuffleService(c, unitShuffleJob(1<<20))
+	svc := newShuffleService(c, unitShuffleJob(1<<20), metrics.NewTaskMetrics())
 	defer svc.close()
 
 	for m, out := range outs {
@@ -238,7 +238,7 @@ func TestShuffleServiceStagesAndTakes(t *testing.T) {
 func TestShuffleServiceOverflowsToDisk(t *testing.T) {
 	c := newUnitCluster(t, nil)
 	outs := writeUnitMapOuts(t, c)
-	svc := newShuffleService(c, unitShuffleJob(1))
+	svc := newShuffleService(c, unitShuffleJob(1), metrics.NewTaskMetrics())
 	defer svc.close()
 
 	for m, out := range outs {
@@ -285,7 +285,7 @@ func TestFetchAbsorbsInjectedFault(t *testing.T) {
 	c := newUnitCluster(t, cfg)
 	outs := writeUnitMapOuts(t, c)
 	job := unitShuffleJob(1 << 20)
-	svc := newShuffleService(c, job)
+	svc := newShuffleService(c, job, metrics.NewTaskMetrics())
 	defer svc.close()
 	sh := &shuffleEnv{svc: svc, backoff: job.RetryBackoff}
 

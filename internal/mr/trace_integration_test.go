@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mrtext/internal/apps"
+	"mrtext/internal/metrics"
 	"mrtext/internal/mr"
 	"mrtext/internal/trace"
 	"mrtext/internal/trace/critpath"
@@ -114,8 +115,8 @@ func TestTraceCrossChecksMetrics(t *testing.T) {
 		if rep.Kind != "reduce" {
 			continue
 		}
-		if rep.ShuffleBytes <= 0 {
-			t.Errorf("reduce %d: ShuffleBytes = %d, want > 0", rep.Index, rep.ShuffleBytes)
+		if got := rep.Metrics.Counters[metrics.CtrShuffleBytes]; got <= 0 {
+			t.Errorf("reduce %d: %s = %d, want > 0", rep.Index, metrics.CtrShuffleBytes, got)
 		}
 		if rep.QueueWait < 0 {
 			t.Errorf("reduce %d: negative QueueWait %v", rep.Index, rep.QueueWait)

@@ -447,6 +447,10 @@ func TestSpecValidation(t *testing.T) {
 		{"known app", mrserve.Spec{App: "WordCount"}, true},
 		{"unknown app", mrserve.Spec{App: "terasort"}, false},
 		{"bad storage", mrserve.Spec{App: "syntext", SynTextStorage: 2}, false},
+		{"negative input", mrserve.Spec{App: "wordcount", InputMB: -1}, false},
+		{"negative pos iterations", mrserve.Spec{App: "wordpostag", PosIterations: -5}, false},
+		{"negative syntext cpu", mrserve.Spec{App: "syntext", SynTextCPU: -2}, false},
+		{"negative storage", mrserve.Spec{App: "syntext", SynTextStorage: -0.5}, false},
 		{"bad chaos rate", mrserve.Spec{App: "wordcount", Chaos: &mrserve.ChaosSpec{FailRate: 1.5}}, false},
 		{"chaos ok", mrserve.Spec{App: "wordcount", Chaos: &mrserve.ChaosSpec{Seed: 3, FailRate: 0.2}}, true},
 	}

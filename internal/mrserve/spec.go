@@ -80,19 +80,20 @@ type Spec struct {
 }
 
 // Normalize applies spec-level defaults (not runtime defaults — those
-// stay in mr.Job.withDefaults) and lowercases the app name.
+// stay in mr.Job.withDefaults) to zero-valued fields and lowercases the
+// app name. Negative values are left for Validate to reject.
 func (s *Spec) Normalize() {
 	s.App = strings.ToLower(strings.TrimSpace(s.App))
-	if s.InputMB <= 0 {
+	if s.InputMB == 0 {
 		s.InputMB = 16
 	}
-	if s.PosIterations <= 0 {
+	if s.PosIterations == 0 {
 		s.PosIterations = 8
 	}
-	if s.SynTextCPU <= 0 {
+	if s.SynTextCPU == 0 {
 		s.SynTextCPU = 4
 	}
-	if s.SynTextStorage <= 0 {
+	if s.SynTextStorage == 0 {
 		s.SynTextStorage = 0.5
 	}
 }
@@ -103,8 +104,14 @@ func (s *Spec) Validate() error {
 	if !appNames[s.App] {
 		return fmt.Errorf("mrserve: unknown app %q", s.App)
 	}
-	if s.InputMB > 1<<20 {
-		return fmt.Errorf("mrserve: input_mb %d is absurd (max %d)", s.InputMB, 1<<20)
+	if s.InputMB < 0 || s.InputMB > 1<<20 {
+		return fmt.Errorf("mrserve: input_mb %d outside [1,%d]", s.InputMB, 1<<20)
+	}
+	if s.PosIterations < 0 {
+		return fmt.Errorf("mrserve: pos_iterations %d is negative", s.PosIterations)
+	}
+	if s.SynTextCPU < 0 {
+		return fmt.Errorf("mrserve: syntext_cpu %d is negative", s.SynTextCPU)
 	}
 	if s.SynTextStorage < 0 || s.SynTextStorage > 1 {
 		return fmt.Errorf("mrserve: syntext_storage %v outside [0,1]", s.SynTextStorage)
